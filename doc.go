@@ -71,6 +71,10 @@
 //	chaos    (seeded fault scheduler)    -> revelio-bench -chaos, bench.RunChaos
 //	lint     (invariant analyzers)       -> revelio-lint ./..., go vet -vettool
 //
+// Table 3's "HTTP GET and remote attestation" row pays one TLS
+// handshake: a navigation fetches the attestation bundle and then the
+// page over the one connection it binds.
+//
 // Table 4 is this reproduction's extension of the paper's Table 3
 // caching argument: verifications/sec cold, with a warm VCEK cache, and
 // on the full attestation fast path (parsed-certificate caches, sharded

@@ -79,33 +79,39 @@ func (b *Browser) lookUp(domain string) (string, error) {
 	return addr, nil
 }
 
-// Get fetches https://domain/path, verifying the server certificate
-// against the browser roots for the *domain* (not the resolved address),
-// exactly like a real browser. The connection context for the domain is
-// updated. Cancelling ctx aborts the navigation at any stage — before
-// the simulated network latency, mid-dial, or mid-response — with a
-// wrapped context error.
+// Get fetches https://domain/path on a connection of its own: Open,
+// Conn.Get, Close. Cancelling ctx aborts the navigation at any stage —
+// before the simulated network latency, mid-dial, or mid-response —
+// with a wrapped context error.
 func (b *Browser) Get(ctx context.Context, domain, path string) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("browser: get %q: %w", domain, err)
+	c, err := b.Open(domain)
+	if err != nil {
+		return nil, err
 	}
+	defer c.Close()
+	return c.Get(ctx, path)
+}
+
+// Conn is one keep-alive TLS connection to a domain, shared by every
+// request of a navigation: the first Get dials and handshakes, later
+// Gets reuse the connection. The domain is resolved once, at Open.
+type Conn struct {
+	b      *Browser
+	domain string
+	client http.Client
+}
+
+// Open resolves domain and returns a connection to it. The server
+// certificate is verified against the browser roots for the *domain*
+// (not the resolved address), exactly like a real browser. The TLS
+// connection itself is made by the first Get; Close releases it.
+func (b *Browser) Open(domain string) (*Conn, error) {
 	addr, err := b.lookUp(domain)
 	if err != nil {
 		return nil, err
 	}
-	if b.rtt > 0 {
-		// The injected latency honours cancellation: a user closing the
-		// tab does not wait out the network simulation.
-		timer := time.NewTimer(b.rtt)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, fmt.Errorf("browser: get %q: %w", domain, ctx.Err())
-		case <-timer.C:
-		}
-	}
-
 	transport := &http.Transport{
+		MaxConnsPerHost: 1,
 		DialTLSContext: func(ctx context.Context, network, _ string) (net.Conn, error) {
 			dialer := &net.Dialer{Timeout: 10 * time.Second}
 			raw, err := dialer.DialContext(ctx, network, addr)
@@ -123,9 +129,29 @@ func (b *Browser) Get(ctx context.Context, domain, path string) (*Response, erro
 			return conn, nil
 		},
 	}
-	defer transport.CloseIdleConnections()
+	return &Conn{b: b, domain: domain, client: http.Client{Transport: transport}}, nil
+}
 
-	u := url.URL{Scheme: "https", Host: domain, Path: path}
+// Get fetches https://domain/path over the connection and updates the
+// browser's connection context for the domain. Cancelling ctx aborts
+// the request at any stage with a wrapped context error.
+func (c *Conn) Get(ctx context.Context, path string) (*Response, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("browser: get %q: %w", c.domain, err)
+	}
+	if c.b.rtt > 0 {
+		// The injected latency honours cancellation: a user closing the
+		// tab does not wait out the network simulation.
+		timer := time.NewTimer(c.b.rtt)
+		select {
+		case <-ctx.Done():
+			timer.Stop()
+			return nil, fmt.Errorf("browser: get %q: %w", c.domain, ctx.Err())
+		case <-timer.C:
+		}
+	}
+
+	u := url.URL{Scheme: "https", Host: c.domain, Path: path}
 	// Split an embedded query string ("/p?k=v") like a real address bar.
 	if parsed, err := url.Parse(path); err == nil {
 		u.Path = parsed.Path
@@ -135,8 +161,7 @@ func (b *Browser) Get(ctx context.Context, domain, path string) (*Response, erro
 	if err != nil {
 		return nil, err
 	}
-	client := &http.Client{Transport: transport}
-	resp, err := client.Do(req)
+	resp, err := c.client.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("browser: get %s: %w", u.String(), err)
 	}
@@ -154,11 +179,17 @@ func (b *Browser) Get(ctx context.Context, domain, path string) (*Response, erro
 		return nil, err
 	}
 
-	b.mu.Lock()
-	b.conns[domain] = pubDER
-	b.mu.Unlock()
+	c.b.mu.Lock()
+	c.b.conns[c.domain] = pubDER
+	c.b.mu.Unlock()
 
 	return &Response{Status: resp.StatusCode, Body: body, TLSPublicKeyDER: pubDER}, nil
+}
+
+// Close closes the connection. A body read to its end has already
+// returned the connection to the idle pool, so this closes it.
+func (c *Conn) Close() {
+	c.client.CloseIdleConnections()
 }
 
 // ConnectionPublicKey is the extension-facing API: the public key of the

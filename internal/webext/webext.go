@@ -71,9 +71,13 @@ type Metrics struct {
 	Attested bool
 	// Total is the end-to-end navigation time.
 	Total time.Duration
-	// AttestationTime covers bundle fetch + KDS + validation.
+	// AttestationTime covers bundle fetch + KDS + validation. The bundle
+	// fetch opens the navigation's connection, so this includes the
+	// navigation's only TLS handshake; the page load that follows reuses
+	// the connection and pays none.
 	AttestationTime time.Duration
-	// ConnValidation covers the per-request connection-context check.
+	// ConnValidation covers the per-request check of the serving
+	// connection's key against the attested key.
 	ConnValidation time.Duration
 	// Overridden reports that the user's explicit proceed-anyway decision
 	// bypassed attestation for this navigation.
@@ -236,32 +240,40 @@ func (e *Extension) Navigate(ctx context.Context, domain, path string) (*browser
 		metrics.Total = time.Since(start)
 		return resp, metrics, nil
 	}
+	// One connection carries the whole navigation: the bundle fetch of a
+	// first visit and the page load.
+	conn, err := e.browser.Open(domain)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer func() {
+		// Closing the connection is part of the navigation's time.
+		conn.Close()
+		metrics.Total = time.Since(start)
+	}()
 	if !siteAttested(s, &e.mu) {
-		if err := e.attestSite(ctx, domain, s, metrics); err != nil {
+		if err := e.attestSite(ctx, conn, domain, s, metrics); err != nil {
 			return nil, nil, err
 		}
 	}
 
-	resp, err := e.browser.Get(ctx, domain, path)
+	resp, err := conn.Get(ctx, path)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// Per-request connection validation: the TLS key must still be the
-	// attested one.
+	// Per-request connection validation: the key of the connection that
+	// served this response must be the attested one. The browser's
+	// per-domain connection context is not consulted: a concurrent
+	// navigation in the same browser may have overwritten it.
 	t0 := time.Now()
-	connKey, err := e.browser.ConnectionPublicKey(domain)
-	if err != nil {
-		return nil, nil, err
-	}
 	e.mu.Lock()
 	pinned := s.pinnedKey
 	e.mu.Unlock()
-	if !bytes.Equal(connKey, pinned) {
+	if !bytes.Equal(resp.TLSPublicKeyDER, pinned) {
 		return nil, nil, fmt.Errorf("%w: %q", ErrConnectionHijacked, domain)
 	}
 	metrics.ConnValidation = time.Since(t0)
-	metrics.Total = time.Since(start)
 	return resp, metrics, nil
 }
 
@@ -275,13 +287,13 @@ func siteAttested(s *site, mu *sync.Mutex) bool {
 // freshness nonce: the served report must bind both the TLS key and our
 // challenge, so a recorded bundle from an earlier (since-compromised)
 // boot cannot be replayed.
-func (e *Extension) attestSite(ctx context.Context, domain string, s *site, metrics *Metrics) error {
+func (e *Extension) attestSite(ctx context.Context, conn *browser.Conn, domain string, s *site, metrics *Metrics) error {
 	t0 := time.Now()
 	nonce := make([]byte, 16)
 	if _, err := rand.Read(nonce); err != nil {
 		return fmt.Errorf("%w: nonce: %w", ErrAttestationFailed, err)
 	}
-	resp, err := e.browser.Get(ctx, domain, WellKnownPath+"?nonce="+hex.EncodeToString(nonce))
+	resp, err := conn.Get(ctx, WellKnownPath+"?nonce="+hex.EncodeToString(nonce))
 	if err != nil {
 		return fmt.Errorf("%w: fetch bundle: %w", ErrAttestationFailed, err)
 	}
@@ -306,12 +318,12 @@ func (e *Extension) attestSite(ctx context.Context, domain string, s *site, metr
 	}
 
 	// The secure connection must terminate inside the attested VM: the
-	// TLS connection key equals the attested key.
-	connKey, err := e.browser.ConnectionPublicKey(domain)
-	if err != nil {
-		return fmt.Errorf("%w: %w", ErrAttestationFailed, err)
+	// key of the connection that served the bundle equals the attested
+	// key.
+	if len(resp.TLSPublicKeyDER) == 0 {
+		return fmt.Errorf("%w: %w: %q", ErrAttestationFailed, browser.ErrNoConnection, domain)
 	}
-	if !bytes.Equal(connKey, bundle.Payload) {
+	if !bytes.Equal(resp.TLSPublicKeyDER, bundle.Payload) {
 		return fmt.Errorf("%w: %q", ErrConnectionHijacked, domain)
 	}
 

@@ -9,8 +9,12 @@ import (
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"errors"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptrace"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -128,28 +132,30 @@ func TestDiscoverNonRevelioSite(t *testing.T) {
 	b, ext := newClientSide(t, d, 0)
 
 	// A plain HTTPS site with a valid cert but no attestation endpoint.
-	plainAddr := startPlainTLS(t, d)
+	plainAddr := startTLSSite(t, d, "plain.example.org", http.NotFoundHandler())
 	b.Resolve("plain.example.org", plainAddr)
 	if _, err := ext.Discover(context.Background(), "plain.example.org"); !errors.Is(err, ErrNoAttestation) {
 		t.Errorf("err = %v, want ErrNoAttestation", err)
 	}
 }
 
-// startPlainTLS brings up a non-Revelio HTTPS site under the same CA.
-func startPlainTLS(t *testing.T, d *core.Deployment) string {
+// startTLSSite brings up a non-Revelio HTTPS site for name under the
+// deployment's CA — a plain site, or an attacker who controls DNS and so
+// passes DNS-01 for the victim's domain.
+func startTLSSite(t *testing.T, d *core.Deployment, name string, handler http.Handler) string {
 	t.Helper()
 	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	csr, err := x509.CreateCertificateRequest(rand.Reader, &x509.CertificateRequest{
-		Subject:  pkix.Name{CommonName: "plain.example.org"},
-		DNSNames: []string{"plain.example.org"},
+		Subject:  pkix.Name{CommonName: name},
+		DNSNames: []string{name},
 	}, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	certDER, err := acme.NewClient(d.CA, d.Zone).ObtainCertificate(context.Background(), "plain.example.org", csr)
+	certDER, err := acme.NewClient(d.CA, d.Zone).ObtainCertificate(context.Background(), name, csr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +166,7 @@ func startPlainTLS(t *testing.T, d *core.Deployment) string {
 	tlsLn := tls.NewListener(ln, &tls.Config{
 		Certificates: []tls.Certificate{{Certificate: [][]byte{certDER}, PrivateKey: key}},
 	})
-	server := &http.Server{Handler: http.NotFoundHandler(), ReadHeaderTimeout: 5 * time.Second}
+	server := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = server.Serve(tlsLn) }()
 	t.Cleanup(func() { _ = server.Close() })
 	return ln.Addr().String()
@@ -395,5 +401,138 @@ func TestErrorsMapOntoAttestationTaxonomy(t *testing.T) {
 	}
 	if !errors.Is(ErrConnectionHijacked, attestation.ErrEvidenceInvalid) {
 		t.Error("ErrConnectionHijacked is not an attestation.ErrEvidenceInvalid")
+	}
+}
+
+// relay forwards TCP connections to a target address, counting the
+// connections it accepts and those still open.
+type relay struct {
+	addr     string
+	accepted atomic.Int64
+	open     atomic.Int64
+}
+
+func startRelay(t *testing.T, target string) *relay {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	r := &relay{addr: ln.Addr().String()}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			r.accepted.Add(1)
+			r.open.Add(1)
+			go func() {
+				defer r.open.Add(-1)
+				defer func() { _ = c.Close() }()
+				up, err := net.Dial("tcp", target)
+				if err != nil {
+					return
+				}
+				defer func() { _ = up.Close() }()
+				go func() { _, _ = io.Copy(c, up) }()
+				// The client closing its end ends the relayed connection.
+				_, _ = io.Copy(up, c)
+			}()
+		}
+	}()
+	return r
+}
+
+// TestFirstVisitOneHandshake: a first-visit navigation attests and loads
+// the page over one TLS connection, and closes it before returning.
+func TestFirstVisitOneHandshake(t *testing.T) {
+	d := newDeployment(t, 1)
+	r := startRelay(t, d.Nodes[0].WebAddr())
+	b := browser.New(d.CARootPool(), 0)
+	b.Resolve(domain, r.addr)
+	ext := New(b, d.Verifier)
+	ext.RegisterSite(domain, d.Golden)
+
+	var handshakes atomic.Int64
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		TLSHandshakeDone: func(_ tls.ConnectionState, err error) {
+			if err == nil {
+				handshakes.Add(1)
+			}
+		},
+	})
+	resp, m, err := ext.Navigate(ctx, domain, "/")
+	if err != nil {
+		t.Fatalf("Navigate: %v", err)
+	}
+	if !m.Attested || string(resp.Body) != "cryptpad" {
+		t.Fatalf("attested=%v body=%q", m.Attested, resp.Body)
+	}
+	if n := handshakes.Load(); n != 1 {
+		t.Errorf("first visit made %d TLS handshakes, want 1", n)
+	}
+	if n := r.accepted.Load(); n != 1 {
+		t.Errorf("first visit opened %d connections to the site, want 1", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for r.open.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still open after Navigate returned", r.open.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestConcurrentNavigationsJudgeTheirOwnConnection: tabs of one browser
+// navigate concurrently while DNS flips between the attested site and an
+// attacker holding a CA-valid certificate for the domain. Every page the
+// attacker serves fails the connection check, whatever the concurrent
+// tabs do to the browser's per-domain connection context.
+func TestConcurrentNavigationsJudgeTheirOwnConnection(t *testing.T) {
+	d := newDeployment(t, 1)
+	b, ext := newClientSide(t, d, 0)
+	ext.RegisterSite(domain, d.Golden)
+	if _, _, err := ext.Navigate(context.Background(), domain, "/"); err != nil {
+		t.Fatalf("initial navigation: %v", err)
+	}
+
+	var served atomic.Int64
+	attackerAddr := startTLSSite(t, d, domain, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		served.Add(1)
+		_, _ = w.Write([]byte("phish"))
+	}))
+	addrs := []string{d.Nodes[0].WebAddr(), attackerAddr}
+
+	const tabs, navigations = 16, 32
+	var loaded, hijacked atomic.Int64
+	var wg sync.WaitGroup
+	for tab := 0; tab < tabs; tab++ {
+		wg.Add(1)
+		go func(tab int) {
+			defer wg.Done()
+			for i := 0; i < navigations; i++ {
+				b.Resolve(domain, addrs[(tab+i)%2])
+				resp, _, err := ext.Navigate(context.Background(), domain, "/")
+				switch {
+				case err == nil && string(resp.Body) == "cryptpad":
+					loaded.Add(1)
+				case err == nil:
+					t.Errorf("attacker page loaded: %q", resp.Body)
+				case errors.Is(err, ErrConnectionHijacked):
+					hijacked.Add(1)
+				default:
+					t.Errorf("navigation: %v", err)
+				}
+			}
+		}(tab)
+	}
+	wg.Wait()
+	if hijacked.Load() != served.Load() {
+		t.Errorf("attacker served %d pages, %d flagged as hijacked", served.Load(), hijacked.Load())
+	}
+	if loaded.Load() == 0 || served.Load() == 0 {
+		t.Errorf("no mix of servers: %d legitimate loads, %d attacker pages", loaded.Load(), served.Load())
 	}
 }
