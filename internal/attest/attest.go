@@ -12,9 +12,9 @@
 package attest
 
 import (
+	"bytes"
 	"context"
 	"crypto/ecdsa"
-	"crypto/sha256"
 	"crypto/x509"
 	"encoding/json"
 	"errors"
@@ -94,12 +94,12 @@ func (g StaticGolden) IsTrusted(m measure.Measurement) bool {
 //
 // Positive verifications are memoized in two sharded proof caches — one
 // keyed by report digest (skips the whole chain walk + ECDSA signature
-// check for already-proven reports) and one keyed by VCEK DER digest
-// (skips just the chain walk when a fresh report arrives under a known
-// VCEK, the warm-session case). Policy judgments (TCB floor, chip
-// allow-list, measurement trust) are re-run on every hit, so a registry
-// revocation fails a cached report immediately. Failures are never
-// cached.
+// check for already-proven reports) and one keyed by the VCEK's (chip
+// ID, TCB) and hit only by that exact VCEK DER (skips just the chain
+// walk when a fresh report arrives under a known VCEK, the warm-session
+// case). Policy judgments (TCB floor, chip allow-list, measurement
+// trust) are re-run on every hit, so a registry revocation fails a
+// cached report immediately. Failures are never cached.
 type Verifier struct {
 	source CertSource
 	policy TrustPolicy
@@ -108,7 +108,7 @@ type Verifier struct {
 	now    func() time.Time
 
 	reports   *proofCache // report digest -> proof; nil = disabled
-	chains    *proofCache // VCEK DER digest -> proof; nil = disabled
+	chains    *proofCache // (chip ID, TCB) -> proof of one VCEK DER; nil = disabled
 	cacheSize int
 	policyRev atomic.Uint64
 }
@@ -228,7 +228,39 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		}
 	}
 
+	// Chain walk, skipped when a VCEK for this (chip, TCB) was already
+	// proven at this policy revision and the fetched VCEK is that very
+	// certificate (a fresh nonce-bound report from a known node pays only
+	// the signature check — the warm-session case). Otherwise the walk is
+	// certain, so the ASK/ARK chain is fetched alongside the VCEK: a cold
+	// verification waits on one KDS round trip, not two. Proofs expire at
+	// the earliest NotAfter of the whole proving chain, so a cached proof
+	// never outlives any validity check the walk performed.
+	var (
+		ckey        proofKey
+		chainProof  *proof
+		chainProven bool
+	)
+	if v.chains != nil {
+		ckey = chainProofKey(report.ChipID, report.TCBVersion)
+		chainProof, chainProven = v.chains.get(ckey, rev, now)
+	}
+	var (
+		ask, ark  *x509.Certificate
+		chainErr  error
+		chainDone chan struct{}
+	)
+	if !chainProven {
+		chainDone = make(chan struct{})
+		go func() {
+			defer close(chainDone)
+			ask, ark, chainErr = v.source.CertChain(ctx)
+		}()
+	}
 	vcekCert, err := v.source.VCEK(ctx, report.ChipID, report.TCBVersion)
+	if chainDone != nil {
+		<-chainDone // no fetch outlives the call
+	}
 	if err != nil {
 		return nil, fmt.Errorf("attest: fetch vcek: %w", err)
 	}
@@ -237,29 +269,18 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 	if now.After(vcekCert.NotAfter) {
 		return nil, fmt.Errorf("%w: VCEK expired %s", ErrEvidenceExpired, vcekCert.NotAfter.Format(time.RFC3339))
 	}
-
-	// Chain walk, skipped when this exact VCEK DER was already proven at
-	// this policy revision (a fresh nonce-bound report from a known node
-	// pays only the signature check — the warm-session case). The ASK/ARK
-	// chain is only fetched when the walk actually runs. Proofs expire at
-	// the earliest NotAfter of the whole proving chain, so a cached proof
-	// never outlives any validity check the walk performed.
-	var (
-		ckey        proofKey
-		chainProof  *proof
-		chainProven bool
-	)
-	notAfter := vcekCert.NotAfter
-	if v.chains != nil {
-		ckey = sha256.Sum256(vcekCert.Raw)
-		chainProof, chainProven = v.chains.get(ckey, rev, now)
+	if chainProven && !bytes.Equal(chainProof.vcek.Raw, vcekCert.Raw) {
+		// A different certificate for a proven (chip, TCB): the proof
+		// covers none of its bytes, so walk its chain from scratch.
+		chainProven = false
+		ask, ark, chainErr = v.source.CertChain(ctx)
 	}
+	notAfter := vcekCert.NotAfter
 	if chainProven {
 		notAfter = chainProof.notAfter
 	} else {
-		ask, ark, err := v.source.CertChain(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("attest: fetch cert chain: %w", err)
+		if chainErr != nil {
+			return nil, fmt.Errorf("attest: fetch cert chain: %w", chainErr)
 		}
 		roots := x509.NewCertPool()
 		roots.AddCert(ark)

@@ -32,7 +32,23 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := mfr.MintProcessor([]byte("chip"), 2)
+	sp, guest := launchGuest(t, mfr, "chip")
+	r := &rig{mfr: mfr, sp: sp, guest: guest}
+	kdsHandler := kds.NewServer(mfr)
+	server := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		r.hits.Add(1)
+		kdsHandler.ServeHTTP(w, req)
+	}))
+	t.Cleanup(server.Close)
+	r.client = kds.NewClient(server.URL, nil)
+	return r
+}
+
+// launchGuest mints a chip from chipSeed at TCB 2 and launches one guest
+// on it.
+func launchGuest(t *testing.T, mfr *amdsp.Manufacturer, chipSeed string) (*amdsp.SecureProcessor, *amdsp.GuestChannel) {
+	t.Helper()
+	sp, err := mfr.MintProcessor([]byte(chipSeed), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +63,7 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &rig{mfr: mfr, sp: sp, guest: guest}
-	kdsHandler := kds.NewServer(mfr)
-	server := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		r.hits.Add(1)
-		kdsHandler.ServeHTTP(w, req)
-	}))
-	t.Cleanup(server.Close)
-	r.client = kds.NewClient(server.URL, nil)
-	return r
+	return sp, guest
 }
 
 func (r *rig) report(t *testing.T, data sev.ReportData) *sev.Report {
@@ -130,21 +138,7 @@ func TestForgedSignatureRejected(t *testing.T) {
 // chip outside the allow-list is rejected.
 func TestImpersonatorWithValidReport(t *testing.T) {
 	r := newRig(t)
-	impostor, err := r.mfr.MintProcessor([]byte("impostor-chip"), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := impostor.LaunchStart(0, 0)
-	if err := impostor.LaunchUpdate(h, measure.PageNormal, 0, []byte("fw"), "ovmf"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := impostor.LaunchFinish(h); err != nil {
-		t.Fatal(err)
-	}
-	g, err := impostor.GuestChannel(h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, g := launchGuest(t, r.mfr, "impostor-chip")
 	rep, err := g.Report(sev.ReportData{})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"crypto/x509"
+	"encoding/binary"
 	"sync"
 	"time"
 
@@ -19,12 +20,14 @@ const proofShardCount = 16
 // across all shards, for each of the report and VCEK-chain caches).
 const DefaultReportCacheSize = 4096
 
-// proofKey is the SHA-256 of the evidence being memoized: the full
-// serialized report (signed bytes plus signature) for report proofs, or
-// the raw certificate DER for chain proofs. Any bit flipped in the
-// evidence changes the key, so tampered evidence can never hit a cached
-// proof — it falls through to full cryptographic verification and fails
-// there.
+// proofKey is a SHA-256 digest naming a memoized result. For report
+// proofs it covers the full serialized report (signed bytes plus
+// signature): any bit flipped in the report changes the key, so tampered
+// evidence can never hit a cached proof. For chain proofs it covers the
+// (chip ID, TCB) pair the proven VCEK certifies, which a verifier knows
+// before the VCEK arrives; a chain hit additionally requires the fetched
+// VCEK's DER to equal the proven one (see VerifyReport), so a different
+// certificate for the same pair misses and re-walks the chain.
 type proofKey [sha256.Size]byte
 
 // reportProofKey digests everything the ECDSA verification covers.
@@ -35,6 +38,14 @@ func reportProofKey(r *sev.Report) proofKey {
 	var k proofKey
 	h.Sum(k[:0])
 	return k
+}
+
+// chainProofKey names the chain proof for a VCEK certifying chip at tcb.
+func chainProofKey(chip sev.ChipID, tcb uint64) proofKey {
+	var buf [len(chip) + 8]byte
+	copy(buf[:], chip[:])
+	binary.BigEndian.PutUint64(buf[len(chip):], tcb)
+	return sha256.Sum256(buf[:])
 }
 
 // proof is one cached positive verification result. Only successes are

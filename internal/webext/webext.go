@@ -74,7 +74,9 @@ type Metrics struct {
 	// AttestationTime covers bundle fetch + KDS + validation. The bundle
 	// fetch opens the navigation's connection, so this includes the
 	// navigation's only TLS handshake; the page load that follows reuses
-	// the connection and pays none.
+	// the connection and pays none. Its KDS share is one round trip even
+	// on a cold device: the verifier fetches the VCEK and the ASK/ARK
+	// chain concurrently, and a proven chain leaves only the VCEK fetch.
 	AttestationTime time.Duration
 	// ConnValidation covers the per-request check of the serving
 	// connection's key against the attested key.
