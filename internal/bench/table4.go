@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"revelio/internal/amdsp"
 	"revelio/internal/attest"
 	"revelio/internal/kds"
+	"revelio/internal/load"
 	"revelio/internal/measure"
 	"revelio/internal/netlab"
 	"revelio/internal/sev"
@@ -128,38 +128,13 @@ func newTable4Rig(rtt time.Duration) (*table4Rig, func(), error) {
 	return rig, server.Close, nil
 }
 
-// run measures ops verifications spread over clients goroutines, where
-// each op calls verify(). It returns the elapsed wall time and the actual
+// run measures ops verifications spread over clients workers, where
+// each op calls verify. It returns the elapsed wall time and the actual
 // number of operations performed (each client runs at least one).
-func (rig *table4Rig) run(clients, ops int, verify func() error) (time.Duration, int, error) {
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
-	perClient := ops / clients
-	if perClient == 0 {
-		perClient = 1
-	}
+func (rig *table4Rig) run(ctx context.Context, clients, ops int, verify func(context.Context) error) (time.Duration, int, error) {
 	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				if err := verify(); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return time.Since(start), perClient * clients, first
+	c := load.Burst(ctx, clients, ops, func(ctx context.Context, _ int) error { return verify(ctx) })
+	return time.Since(start), int(c.Attempts), c.Err
 }
 
 // RunAttestationThroughput produces Table 4. All three modes perform the
@@ -180,7 +155,7 @@ func RunAttestationThroughput(cfg Table4Config) (*Table4Result, error) {
 		// Cold: every verification builds an uncached client and
 		// verifier — full KDS fetches, parses, chain walk, signature.
 		before := rig.hits.Load()
-		elapsed, done, err := rig.run(clients, cfg.ColdOps, func() error {
+		elapsed, done, err := rig.run(ctx, clients, cfg.ColdOps, func(ctx context.Context) error {
 			v := attest.NewVerifier(kds.NewClient(rig.url, rig.httpc), policy,
 				attest.WithoutReportCache())
 			_, err := v.VerifyReport(ctx, rig.report)
@@ -202,7 +177,7 @@ func RunAttestationThroughput(cfg Table4Config) (*Table4Result, error) {
 			return nil, fmt.Errorf("bench: table4 warm prime: %w", err)
 		}
 		before = rig.hits.Load()
-		elapsed, done, err = rig.run(clients, cfg.Ops, func() error {
+		elapsed, done, err = rig.run(ctx, clients, cfg.Ops, func(ctx context.Context) error {
 			_, err := warmVerifier.VerifyReport(ctx, rig.report)
 			return err
 		})
@@ -222,7 +197,7 @@ func RunAttestationThroughput(cfg Table4Config) (*Table4Result, error) {
 			return nil, fmt.Errorf("bench: table4 fast prime: %w", err)
 		}
 		before = rig.hits.Load()
-		elapsed, done, err = rig.run(clients, cfg.Ops, func() error {
+		elapsed, done, err = rig.run(ctx, clients, cfg.Ops, func(ctx context.Context) error {
 			_, err := fastVerifier.VerifyReport(ctx, rig.report)
 			return err
 		})
@@ -257,7 +232,7 @@ func RunAttestationThroughput(cfg Table4Config) (*Table4Result, error) {
 	burstClient.SetCaching(true)
 	burstVerifier := attest.NewVerifier(burstClient, policy)
 	before := rig.hits.Load()
-	if _, _, err := rig.run(burstClients, burstClients, func() error {
+	if _, _, err := rig.run(ctx, burstClients, burstClients, func(ctx context.Context) error {
 		_, err := burstVerifier.VerifyReport(ctx, rig.report)
 		return err
 	}); err != nil {

@@ -1,19 +1,20 @@
 package bench
 
 import (
+	"cmp"
 	"context"
 	"crypto/tls"
 	"crypto/x509"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"revelio/internal/core"
 	"revelio/internal/fleet"
 	"revelio/internal/gateway"
+	"revelio/internal/load"
 	"revelio/internal/measure"
 )
 
@@ -249,31 +250,6 @@ func boundedApp(concurrency int, serviceTime time.Duration) func(*core.Node) htt
 	}
 }
 
-// drainBufSize is the pooled drain chunk — bench responses are tiny, so
-// a small buffer keeps the pool cheap.
-const drainBufSize = 4096
-
-// drainBufPool recycles the body-drain buffers the client loops use to
-// make keep-alive connections reusable without allocating per response.
-var drainBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, drainBufSize)
-		return &b
-	},
-}
-
-// discardOnly masks io.Discard's ReadFrom so io.CopyBuffer actually
-// uses the pooled buffer instead of allocating its own.
-type discardOnly struct{ io.Writer }
-
-// drainBody reads a response body to EOF through the pooled buffer, so
-// the connection returns to the keep-alive pool.
-func drainBody(r io.Reader) {
-	bufp := drainBufPool.Get().(*[]byte)
-	_, _ = io.CopyBuffer(discardOnly{io.Discard}, r, *bufp)
-	drainBufPool.Put(bufp)
-}
-
 // webClient builds one pooled HTTPS client for a burst.
 func table6Client(roots *x509.CertPool, domain string) *http.Client {
 	return &http.Client{
@@ -289,52 +265,24 @@ func table6Client(roots *x509.CertPool, domain string) *http.Client {
 	}
 }
 
-// burst spreads `requests` GETs for url across `clients` goroutines
-// over one pooled client and returns the wall clock and count done.
-func burst(client *http.Client, url string, clients, requests int) (time.Duration, int, error) {
-	if clients <= 0 {
-		clients = 1
-	}
-	perClient := requests / clients
-	if perClient == 0 {
-		perClient = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		done     atomic.Int64
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
+// burst spreads `requests` GETs for url across `clients` workers over
+// one pooled client and returns the wall clock and the count served.
+func burst(ctx context.Context, client *http.Client, url string, clients, requests int) (time.Duration, int, error) {
 	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				resp, err := client.Get(url)
-				if err != nil {
-					fail(err)
-					return
-				}
-				drainBody(resp.Body)
-				_ = resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					fail(fmt.Errorf("status %d", resp.StatusCode))
-					return
-				}
-				done.Add(1)
-			}
-		}()
+	c := load.Burst(ctx, clients, requests, func(ctx context.Context, _ int) error {
+		return load.Get(ctx, client, url, nil)
+	})
+	return time.Since(start), int(c.OK), unserved(c)
+}
+
+// unserved is the error for a run whose every request must be served:
+// a shed falls as short as a failure there. It returns the first
+// failure, ErrShed when only sheds fell short, and nil otherwise.
+func unserved(c load.Counts) error {
+	if c.Failed+c.Shed == 0 {
+		return nil
 	}
-	wg.Wait()
-	return time.Since(start), int(done.Load()), firstErr
+	return cmp.Or(c.Err, load.ErrShed)
 }
 
 // RunGatewayThroughput produces Table 6. Every cell stands up a live
@@ -422,10 +370,10 @@ func table6Cells(ctx context.Context, cfg Table6Config, n int, res *Table6Result
 	measured := func(url string, clients int) (time.Duration, int, error) {
 		client := table6Client(roots, "table6.example.org")
 		defer client.CloseIdleConnections()
-		if _, _, err := burst(client, url, clients, clients*2); err != nil {
+		if _, _, err := burst(ctx, client, url, clients, clients*2); err != nil {
 			return 0, 0, err
 		}
-		return burst(client, url, clients, cfg.Requests)
+		return burst(ctx, client, url, clients, cfg.Requests)
 	}
 
 	for _, clients := range cfg.Clients {
@@ -472,59 +420,31 @@ func table6Churn(ctx context.Context, cfg Table6Config, res *Table6Result) error
 	client := table6Client(f.Deployment().CARootPool(), "table6.example.org")
 	defer client.CloseIdleConnections()
 
-	var (
-		wg       sync.WaitGroup
-		requests atomic.Int64
-		failures atomic.Int64
-	)
-	stop := make(chan struct{})
+	url := "https://" + gw.Addr() + "/"
 	start := time.Now()
-	for c := 0; c < cfg.ChurnClients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				requests.Add(1)
-				resp, err := client.Get("https://" + gw.Addr() + "/")
-				if err != nil {
-					failures.Add(1)
-					continue
-				}
-				drainBody(resp.Body)
-				_ = resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					failures.Add(1)
-				}
-			}
-		}()
-	}
+	run := load.Start(ctx, cfg.ChurnClients, func(ctx context.Context, _ int) error {
+		return load.Get(ctx, client, url, nil)
+	})
 	for i := 0; i < cfg.ChurnReplaces; i++ {
 		if _, err := f.ReplaceNode(ctx, 0); err != nil {
-			close(stop)
-			wg.Wait()
+			run.Stop()
 			return fmt.Errorf("replace node %d: %w", i, err)
 		}
 	}
-	close(stop)
-	wg.Wait()
+	c := run.Stop()
 	elapsed := time.Since(start)
 
 	res.ChurnNodes = cfg.ChurnNodes
 	res.ChurnReplaces = cfg.ChurnReplaces
-	res.ChurnRequests = requests.Load()
-	res.ChurnFailures = failures.Load()
+	res.ChurnRequests = c.Attempts
+	res.ChurnFailures = c.Failed + c.Shed
 	res.ChurnElapsed = elapsed
 	if elapsed > 0 {
-		res.ChurnPerSec = float64(requests.Load()) / elapsed.Seconds()
+		res.ChurnPerSec = float64(c.Attempts) / elapsed.Seconds()
 	}
-	if res.ChurnFailures != 0 {
-		return fmt.Errorf("%d of %d requests failed through the gateway during churn",
-			res.ChurnFailures, res.ChurnRequests)
+	if err := unserved(c); err != nil {
+		return fmt.Errorf("%d of %d requests failed through the gateway during churn; first: %w",
+			res.ChurnFailures, res.ChurnRequests, err)
 	}
 	return nil
 }
@@ -567,83 +487,33 @@ func table6Overload(ctx context.Context, cfg Table6Config, res *Table6Result) er
 	defer client.CloseIdleConnections()
 	url := "https://" + gw.Addr() + "/"
 
-	perClient := cfg.OverloadRequests / cfg.OverloadClients
-	if perClient == 0 {
-		perClient = 1
-	}
-	var (
-		served, shed atomic.Int64
-		mu           sync.Mutex
-		firstErr     error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
+	get := func(ctx context.Context, _ int) error { return load.Get(ctx, client, url, nil) }
 	// One untimed warm-up round per client (TLS handshakes are
 	// connection costs; sheds during warm-up are fine), then the timed
 	// classified burst.
-	rounds := []bool{false, true}
-	var start time.Time
-	for _, timed := range rounds {
-		if timed {
-			start = time.Now()
-		}
-		n := 1
-		if timed {
-			n = perClient
-		}
-		var wg sync.WaitGroup
-		for c := 0; c < cfg.OverloadClients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					resp, err := client.Get(url)
-					if err != nil {
-						fail(err)
-						return
-					}
-					drainBody(resp.Body)
-					_ = resp.Body.Close()
-					if !timed {
-						continue
-					}
-					switch {
-					case resp.StatusCode == http.StatusOK:
-						served.Add(1)
-					case resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
-						shed.Add(1)
-					default:
-						fail(fmt.Errorf("status %d", resp.StatusCode))
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
+	if c := load.Burst(ctx, cfg.OverloadClients, cfg.OverloadClients, get); c.Err != nil {
+		return fmt.Errorf("overload warm-up failed: %w", c.Err)
 	}
+	start := time.Now()
+	c := load.Burst(ctx, cfg.OverloadClients, cfg.OverloadRequests, get)
 	elapsed := time.Since(start)
 
-	if firstErr != nil {
-		return fmt.Errorf("request failed outright under overload (want 200 or shed): %w", firstErr)
+	if c.Err != nil {
+		return fmt.Errorf("request failed outright under overload (want 200 or shed): %w", c.Err)
 	}
-	if served.Load() == 0 {
+	if c.OK == 0 {
 		return fmt.Errorf("zero goodput under overload: shedding must degrade service, not black it out")
 	}
 	res.OverloadClients = cfg.OverloadClients
 	res.OverloadMaxInFlight = cfg.OverloadMaxInFlight
-	res.OverloadServed = served.Load()
-	res.OverloadShed = shed.Load()
-	if total := served.Load() + shed.Load(); total > 0 {
-		res.OverloadShedRate = float64(shed.Load()) / float64(total)
+	res.OverloadServed = c.OK
+	res.OverloadShed = c.Shed
+	if c.Attempts > 0 {
+		res.OverloadShedRate = float64(c.Shed) / float64(c.Attempts)
 	}
 	res.OverloadElapsed = elapsed
 	if elapsed > 0 {
-		res.OverloadGoodput = float64(served.Load()) / elapsed.Seconds()
+		res.OverloadGoodput = float64(c.OK) / elapsed.Seconds()
 	}
 	return nil
 }
@@ -715,9 +585,9 @@ func table6Canary(ctx context.Context, cfg Table6Config, res *Table6Result) erro
 		if err != nil {
 			return 0, err
 		}
-		drainBody(resp.Body)
+		_, err = io.Copy(io.Discard, resp.Body)
 		_ = resp.Body.Close()
-		return resp.StatusCode, nil
+		return resp.StatusCode, err
 	}
 
 	// Healthy phase: the steering share observed over the burst.

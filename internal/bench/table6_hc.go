@@ -11,12 +11,11 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"revelio/internal/fleet"
 	"revelio/internal/gateway"
+	"revelio/internal/load"
 )
 
 // The high-concurrency cell: HCClients long-lived client goroutines,
@@ -40,19 +39,6 @@ const hcFDReserve = 512
 // accept loop would time the tail out before it is served. Un-dialed
 // workers wait client-side instead.
 const hcWarmupConcurrency = 256
-
-// hcGet performs one request, drains it through the pooled buffer, and
-// classifies the outcome.
-func hcGet(client *http.Client, url string) (status int, shed bool, err error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return 0, false, err
-	}
-	drainBody(resp.Body)
-	_ = resp.Body.Close()
-	return resp.StatusCode, resp.StatusCode == http.StatusServiceUnavailable &&
-		resp.Header.Get("Retry-After") != "", nil
-}
 
 // hcNullRW discards a proxied response — the sink for the allocs/op
 // probe, which measures the gateway path, not response rendering.
@@ -170,22 +156,7 @@ func table6HighConcurrency(ctx context.Context, cfg Table6Config, res *Table6Res
 	defer client.CloseIdleConnections()
 	target := "https://" + gw.Addr() + "/"
 
-	var (
-		wg        sync.WaitGroup
-		requests  atomic.Int64
-		failures  atomic.Int64
-		shedCount atomic.Int64
-		firstMu   sync.Mutex
-		firstErr  error
-	)
-	recordFailure := func(err error) {
-		failures.Add(1)
-		firstMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		firstMu.Unlock()
-	}
+	get := func(ctx context.Context, _ int) error { return load.Get(ctx, client, target, nil) }
 
 	// Warm-up establishes the whole connection pool — both the
 	// client-to-gateway and the gateway-to-node halves — before the clock
@@ -195,69 +166,27 @@ func table6HighConcurrency(ctx context.Context, cfg Table6Config, res *Table6Res
 	// without the final full-concurrency round, the dial storm would land
 	// inside the measured window and the cell would time handshakes, not
 	// the proxy path. Warm-up outcomes count toward the zero-failure
-	// invariant but not the timed window.
-	warmRound := func(level int) {
-		sem := make(chan struct{}, level)
-		var wwg sync.WaitGroup
-		for j := 0; j < 2*level; j++ {
-			sem <- struct{}{}
-			wwg.Add(1)
-			go func() {
-				defer wwg.Done()
-				defer func() { <-sem }()
-				status, _, err := hcGet(client, target)
-				if err != nil {
-					recordFailure(err)
-				} else if status != http.StatusOK {
-					recordFailure(fmt.Errorf("warm-up status %d", status))
-				}
-			}()
-		}
-		wwg.Wait()
-	}
+	// invariant but not the timed window; a shed there is a failure too.
 	for level := hcWarmupConcurrency; ; level *= 2 {
-		if level >= conns {
-			warmRound(conns)
+		level = min(level, conns)
+		if err := unserved(load.Burst(ctx, level, 2*level, get)); err != nil {
+			return fmt.Errorf("high-concurrency warm-up failed: %w", err)
+		}
+		if level == conns {
 			break
 		}
-		warmRound(level)
-	}
-	if firstErr != nil {
-		return fmt.Errorf("high-concurrency warm-up failed: %w", firstErr)
 	}
 
-	startCh := make(chan struct{})
-	stop := make(chan struct{})
+	// Each worker records its own latencies; Stop orders every write
+	// before the read below.
 	samples := make([][]time.Duration, cfg.HCClients)
-	for i := 0; i < cfg.HCClients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-startCh
-			my := make([]time.Duration, 0, 1024)
-			for {
-				select {
-				case <-stop:
-					samples[i] = my
-					return
-				default:
-				}
-				t0 := time.Now()
-				status, shed, err := hcGet(client, target)
-				d := time.Since(t0)
-				requests.Add(1)
-				switch {
-				case err != nil:
-					recordFailure(err)
-				case shed:
-					shedCount.Add(1)
-				case status != http.StatusOK:
-					recordFailure(fmt.Errorf("status %d", status))
-				default:
-					my = append(my, d)
-				}
-			}
-		}(i)
+	timed := func(ctx context.Context, w int) error {
+		t0 := time.Now()
+		err := load.Get(ctx, client, target, nil)
+		if err == nil {
+			samples[w] = append(samples[w], time.Since(t0))
+		}
+		return err
 	}
 
 	// Profiles cover exactly the steady-state window, so a hot frame in
@@ -265,9 +194,6 @@ func table6HighConcurrency(ctx context.Context, cfg Table6Config, res *Table6Res
 	var cpuFile *os.File
 	if cfg.HCProfileDir != "" {
 		if err := os.MkdirAll(cfg.HCProfileDir, 0o755); err != nil {
-			close(startCh)
-			close(stop)
-			wg.Wait()
 			return fmt.Errorf("profile dir: %w", err)
 		}
 		cpuPath := filepath.Join(cfg.HCProfileDir, "table6_hc_cpu.pprof")
@@ -276,19 +202,15 @@ func table6HighConcurrency(ctx context.Context, cfg Table6Config, res *Table6Res
 			err = pprof.StartCPUProfile(cpuFile)
 		}
 		if err != nil {
-			close(startCh)
-			close(stop)
-			wg.Wait()
 			return fmt.Errorf("cpu profile: %w", err)
 		}
 		res.HCCPUProfile = cpuPath
 	}
 
 	start := time.Now()
-	close(startCh)
+	run := load.Start(ctx, cfg.HCClients, timed)
 	time.Sleep(cfg.HCDuration)
-	close(stop)
-	wg.Wait()
+	c := run.Stop()
 	elapsed := time.Since(start)
 
 	if cpuFile != nil {
@@ -322,19 +244,19 @@ func table6HighConcurrency(ctx context.Context, cfg Table6Config, res *Table6Res
 	res.HCConns = conns
 	res.HCFDLimit = fdLimit
 	res.HCElapsed = elapsed
-	res.HCRequests = requests.Load()
-	res.HCFailures = failures.Load()
-	res.HCShed = shedCount.Load()
+	res.HCRequests = c.Attempts
+	res.HCFailures = c.Failed
+	res.HCShed = c.Shed
 	if elapsed > 0 {
-		res.HCPerSec = float64(requests.Load()) / elapsed.Seconds()
+		res.HCPerSec = float64(c.Attempts) / elapsed.Seconds()
 	}
 	if n := len(all); n > 0 {
 		res.HCP50 = all[n/2]
 		res.HCP99 = all[n*99/100]
 	}
-	if firstErr != nil {
+	if c.Err != nil {
 		return fmt.Errorf("%d of %d requests failed at %d clients (first: %w)",
-			res.HCFailures, res.HCRequests, cfg.HCClients, firstErr)
+			res.HCFailures, res.HCRequests, cfg.HCClients, c.Err)
 	}
 	return nil
 }

@@ -56,6 +56,7 @@ import (
 	"revelio/internal/core"
 	"revelio/internal/fleet"
 	"revelio/internal/gateway"
+	"revelio/internal/load"
 )
 
 // chaosDomain is the service domain chaos fleets serve under.
@@ -608,53 +609,23 @@ func (r *run) overloadStorm(ctx context.Context, extra int) error {
 	}()
 
 	n := 48 + extra
-	var ok, shed, other, late atomic.Int64
-	var firstOther atomic.Pointer[error]
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.tr.url, nil)
-			if err != nil {
-				other.Add(1)
-				firstOther.CompareAndSwap(nil, &err)
-				return
-			}
-			req.Header.Set(gateway.DeadlineHeader, stormMillis)
-			start := r.clock.Now()
-			resp, err := r.tr.client.Do(req)
-			if err != nil {
-				other.Add(1)
-				firstOther.CompareAndSwap(nil, &err)
-				return
-			}
-			elapsed := r.clock.Since(start)
-			_, _ = io.Copy(io.Discard, resp.Body)
-			_ = resp.Body.Close()
-			switch {
-			case resp.StatusCode == http.StatusOK:
-				ok.Add(1)
-				if elapsed > 5*time.Second+stormSlack {
-					late.Add(1)
-				}
-			case resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
-				shed.Add(1)
-			default:
-				err := fmt.Errorf("status %d", resp.StatusCode)
-				other.Add(1)
-				firstOther.CompareAndSwap(nil, &err)
-			}
-		}()
-	}
-	wg.Wait()
+	hdr := http.Header{gateway.DeadlineHeader: {stormMillis}}
+	var late atomic.Int64
+	c := load.Burst(ctx, n, n, func(ctx context.Context, _ int) error {
+		start := r.clock.Now()
+		err := load.Get(ctx, r.tr.client, r.tr.url, hdr)
+		if err == nil && r.clock.Since(start) > 5*time.Second+stormSlack {
+			late.Add(1)
+		}
+		return err
+	})
 	r.cfg.Log("chaos seed %d: overload storm: %d ok, %d shed, %d failed of %d",
-		r.cfg.Seed, ok.Load(), shed.Load(), other.Load(), n)
-	if o := other.Load(); o > 0 {
+		r.cfg.Seed, c.OK, c.Shed, c.Failed, n)
+	if c.Failed > 0 {
 		return fmt.Errorf("overload storm: %d of %d requests failed outright (want success or shed); first: %v",
-			o, n, *firstOther.Load())
+			c.Failed, n, c.Err)
 	}
-	if ok.Load() == 0 {
+	if c.OK == 0 {
 		return errors.New("overload storm: zero goodput — shedding must degrade service, not black it out")
 	}
 	if l := late.Load(); l > 0 {

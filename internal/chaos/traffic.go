@@ -4,15 +4,15 @@ import (
 	"context"
 	"crypto/tls"
 	"crypto/x509"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"revelio/internal/gateway"
+	"revelio/internal/load"
 )
 
 // trafficDeadline is the deadline every traffic request declares via
@@ -21,7 +21,9 @@ import (
 // deadline invariant.
 const trafficDeadline = 8 * time.Second
 
-var trafficDeadlineMillis = strconv.FormatInt(trafficDeadline.Milliseconds(), 10)
+var trafficHeader = http.Header{
+	gateway.DeadlineHeader: {strconv.FormatInt(trafficDeadline.Milliseconds(), 10)},
+}
 
 // traffic drives concurrent attested-TLS clients through the gateway
 // for the whole chaos run and classifies every outcome: a deliberate
@@ -34,21 +36,11 @@ type traffic struct {
 	url    string
 	client *http.Client
 	clock  *Clock
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	run    *load.Run
 
 	// window counts currently open fault windows (they can nest).
-	window atomic.Int32
-
-	total      atomic.Int64
-	windowed   atomic.Int64
-	shedded    atomic.Int64
-	violations atomic.Int64
-
-	mu             sync.Mutex
-	firstViolation error
-
-	haltOnce sync.Once
+	window   atomic.Int32
+	windowed atomic.Int64
 }
 
 // startTraffic launches `clients` request loops against the gateway at
@@ -58,7 +50,6 @@ func startTraffic(ctx context.Context, url string, roots *x509.CertPool, domain 
 	t := &traffic{
 		url:   url,
 		clock: clock,
-		stop:  make(chan struct{}),
 		client: &http.Client{
 			Transport: &http.Transport{
 				TLSClientConfig: &tls.Config{
@@ -71,74 +62,37 @@ func startTraffic(ctx context.Context, url string, roots *x509.CertPool, domain 
 			Timeout: 10 * time.Second,
 		},
 	}
-	for c := 0; c < clients; c++ {
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			for {
-				select {
-				case <-t.stop:
-					return
-				default:
-				}
-				t.one(ctx)
-				// Pace the loop: the point is continuous load across
-				// every fault, not a throughput benchmark.
-				t.clock.Sleep(2 * time.Millisecond)
-			}
-		}()
-	}
+	t.run = load.Start(ctx, clients, t.one)
 	return t
 }
 
 // one issues a single request and classifies the outcome. The window
 // state is sampled both before and after the attempt: a request is a
 // violation only if no fault window was open at either point — a window
-// opening or closing mid-request means the fault could have hit it.
-func (t *traffic) one(ctx context.Context) {
+// opening or closing mid-request means the fault could have hit it. A
+// windowed failure is tallied here and reported to the driver as
+// served, so the driver's failures are exactly the violations.
+func (t *traffic) one(ctx context.Context, _ int) error {
+	// Pace the loop: the point is continuous load across every fault,
+	// not a throughput benchmark.
+	defer t.clock.Sleep(2 * time.Millisecond)
 	openAtStart := t.window.Load() > 0
-	t.total.Add(1)
-	var failure error
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.url, nil)
-	if err != nil {
-		failure = err
-	} else {
-		req.Header.Set(gateway.DeadlineHeader, trafficDeadlineMillis)
-		start := t.clock.Now()
-		resp, doErr := t.client.Do(req)
-		if doErr != nil {
-			failure = doErr
-		} else {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			_ = resp.Body.Close()
-			switch {
-			case resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
-				// Deliberate shed under overload: degradation, not failure.
-				t.shedded.Add(1)
-				return
-			case resp.StatusCode != http.StatusOK:
-				failure = fmt.Errorf("status %d", resp.StatusCode)
-			default:
-				if elapsed := t.clock.Since(start); elapsed > trafficDeadline+time.Second {
-					// Admitted, answered — but past its declared deadline.
-					failure = fmt.Errorf("succeeded %s after its %s deadline", elapsed, trafficDeadline)
-				}
-			}
+	start := t.clock.Now()
+	err := load.Get(ctx, t.client, t.url, trafficHeader)
+	if err == nil {
+		if elapsed := t.clock.Since(start); elapsed > trafficDeadline+time.Second {
+			// Admitted, answered — but past its declared deadline.
+			err = fmt.Errorf("succeeded %s after its %s deadline", elapsed, trafficDeadline)
 		}
 	}
-	if failure == nil {
-		return
+	if err == nil || errors.Is(err, load.ErrShed) {
+		return err
 	}
 	if openAtStart || t.window.Load() > 0 {
 		t.windowed.Add(1)
-		return
+		return nil
 	}
-	t.violations.Add(1)
-	t.mu.Lock()
-	if t.firstViolation == nil {
-		t.firstViolation = failure
-	}
-	t.mu.Unlock()
+	return err
 }
 
 // openWindow marks that a fault which may legally surface to clients is
@@ -149,12 +103,7 @@ func (t *traffic) closeWindow() { t.window.Add(-1) }
 // halt stops the drive and returns totals. Idempotent: later calls
 // return the same settled totals.
 func (t *traffic) halt() (total, windowed, shedded, violations int64, firstViolation error) {
-	t.haltOnce.Do(func() {
-		close(t.stop)
-		t.wg.Wait()
-		t.client.CloseIdleConnections()
-	})
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total.Load(), t.windowed.Load(), t.shedded.Load(), t.violations.Load(), t.firstViolation
+	c := t.run.Stop()
+	t.client.CloseIdleConnections()
+	return c.Attempts, t.windowed.Load(), c.Shed, c.Failed, c.Err
 }

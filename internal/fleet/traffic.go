@@ -9,17 +9,19 @@ import (
 	"time"
 
 	"revelio/internal/certmgr"
+	"revelio/internal/load"
 )
 
 // Traffic is a fleet-wide client load driver: N concurrent clients
 // issuing attested-TLS requests round-robin across whatever nodes are
 // members at the instant each request starts. It exists to make churn
 // invariants falsifiable — every lifecycle scenario runs with traffic
-// on and asserts Stop() reports zero failures.
+// on and asserts Stop() reports zero failures. The loop is the load
+// driver's; the fleet supplies the op: the membership read lock, the
+// serving-view round-robin, and the per-attempt tally.
 type Traffic struct {
-	f    *Fleet
-	stop chan struct{}
-	wg   sync.WaitGroup
+	f   *Fleet
+	run *load.Run
 
 	requests atomic.Int64
 	failures atomic.Int64
@@ -34,77 +36,58 @@ type Traffic struct {
 // drain in-flight requests before touching the node set — the mechanism
 // behind the zero-failed-request guarantee during churn.
 func (f *Fleet) StartTraffic(ctx context.Context, clients int) *Traffic {
-	if clients <= 0 {
-		clients = 1
-	}
-	tr := &Traffic{f: f, stop: make(chan struct{})}
-	client := f.webClient()
-	for c := 0; c < clients; c++ {
-		tr.wg.Add(1)
-		go func(c int) {
-			defer tr.wg.Done()
-			for i := c; ; i++ {
-				select {
-				case <-tr.stop:
-					return
-				default:
-				}
-				tr.one(ctx, client, i)
-			}
-		}(c)
-	}
+	tr := &Traffic{f: f}
+	tr.run = load.Start(ctx, clients, tr.op(f.webClient()))
 	return tr
 }
 
-// one performs a single attested-TLS request against node (i mod size).
-func (tr *Traffic) one(ctx context.Context, client *http.Client, i int) {
-	tr.f.memberMu.RLock()
-	defer tr.f.memberMu.RUnlock()
-	// Count the attempt before any failure path: every failure is also a
-	// request, so failures can never exceed requests in the totals.
-	tr.requests.Add(1)
-	nodes := tr.f.serving
-	if len(nodes) == 0 {
-		tr.fail(fmt.Errorf("fleet: no nodes to serve traffic"))
-		return
-	}
-	n := nodes[i%len(nodes)]
-	addr := n.WebAddr()
-	if addr == "" {
-		tr.fail(fmt.Errorf("fleet: node %d has no web front end", i%len(nodes)))
-		return
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"https://"+addr+certmgr.WellKnownPath, nil)
-	if err != nil {
-		tr.fail(err)
-		return
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		tr.fail(err)
-		return
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		tr.fail(fmt.Errorf("fleet: traffic status %d", resp.StatusCode))
+// op adapts one to the load driver, spreading successive requests
+// round-robin over the serving view.
+func (tr *Traffic) op(client *http.Client) load.Op {
+	var next atomic.Int64
+	return func(ctx context.Context, _ int) error {
+		return tr.one(ctx, client, int(next.Add(1)-1))
 	}
 }
 
-func (tr *Traffic) fail(err error) {
-	tr.failures.Add(1)
-	tr.mu.Lock()
-	if tr.firstErr == nil {
-		tr.firstErr = err
+// one performs a single attested-TLS request against node (i mod size)
+// and tallies it.
+func (tr *Traffic) one(ctx context.Context, client *http.Client, i int) error {
+	// Count the attempt before any failure path: every failure is also a
+	// request, so failures can never exceed requests in the totals.
+	tr.requests.Add(1)
+	err := tr.f.serveOne(ctx, client, i)
+	if err != nil {
+		tr.failures.Add(1)
+		tr.mu.Lock()
+		if tr.firstErr == nil {
+			tr.firstErr = err
+		}
+		tr.mu.Unlock()
 	}
-	tr.mu.Unlock()
+	return err
+}
+
+// serveOne requests the well-known path from node (i mod size) of the
+// serving view, holding the membership read lock for the whole request.
+func (f *Fleet) serveOne(ctx context.Context, client *http.Client, i int) error {
+	f.memberMu.RLock()
+	defer f.memberMu.RUnlock()
+	nodes := f.serving
+	if len(nodes) == 0 {
+		return fmt.Errorf("fleet: no nodes to serve traffic")
+	}
+	addr := nodes[i%len(nodes)].WebAddr()
+	if addr == "" {
+		return fmt.Errorf("fleet: node %d has no web front end", i%len(nodes))
+	}
+	return load.Get(ctx, client, "https://"+addr+certmgr.WellKnownPath, nil)
 }
 
 // Stop ends the drive and reports totals: requests issued, failures
 // observed, and the first failure (nil when the run was clean).
 func (tr *Traffic) Stop() (requests, failures int64, firstErr error) {
-	close(tr.stop)
-	tr.wg.Wait()
+	tr.run.Stop()
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return tr.requests.Load(), tr.failures.Load(), tr.firstErr
@@ -118,36 +101,11 @@ func (tr *Traffic) Stop() (requests, failures int64, firstErr error) {
 // clients — throughput numbers from a partially failing fleet would be
 // meaningless — and failed attempts are excluded from the served count.
 func (f *Fleet) ServeBurst(ctx context.Context, clients, requests int) (time.Duration, int, error) {
-	if clients <= 0 {
-		clients = 1
-	}
-	perClient := requests / clients
-	if perClient == 0 {
-		perClient = 1
-	}
-	var wg sync.WaitGroup
 	tr := &Traffic{f: f}
-	client := f.webClient()
 	start := time.Now() //revelio:allow timeseam throughput measurement reported to the operator; no scheduling or replay decision reads it
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				// Check before each attempt, not after: once any client
-				// fails, the rest stop issuing new requests immediately.
-				if tr.failures.Load() > 0 {
-					return
-				}
-				tr.one(ctx, client, c*perClient+i)
-			}
-		}(c)
-	}
-	wg.Wait()
+	load.Burst(ctx, clients, requests, tr.op(f.webClient()))
 	elapsed := time.Since(start) //revelio:allow timeseam throughput measurement reported to the operator; no scheduling or replay decision reads it
 	tr.mu.Lock()
-	firstErr := tr.firstErr
-	tr.mu.Unlock()
-	served := int(tr.requests.Load() - tr.failures.Load())
-	return elapsed, served, firstErr
+	defer tr.mu.Unlock()
+	return elapsed, int(tr.requests.Load() - tr.failures.Load()), tr.firstErr
 }

@@ -1029,8 +1029,11 @@ func (g *Gateway) forward(parent context.Context, sc *proxyScratch, up *upstream
 	up.pending.Add(-1)
 	if parent.Err() == nil && g.res.Now().Before(deadline) {
 		// Only outcomes the request deadline did not cause feed the
-		// breaker: a client hanging up is not the node's fault.
-		if up.breaker.Observe(latency, err != nil) {
+		// breaker: a client hanging up is not the node's fault. An
+		// attestation reject is a success to the breaker — breakers
+		// track transport health, not policy; the reject feeds ejection,
+		// which the next policy epoch clears when the node proves itself.
+		if up.breaker.Observe(latency, err != nil && !isAttestationReject(err)) {
 			g.breakerOpens.Add(1)
 		}
 	}

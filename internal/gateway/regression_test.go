@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"crypto/tls"
 	"io"
 	"net/http"
 	"sort"
@@ -175,5 +176,62 @@ func TestStatsEjectedSorted(t *testing.T) {
 	s := g.Stats()
 	if len(s.Ejected) != 3 || !sort.StringsAreSorted(s.Ejected) {
 		t.Errorf("Ejected = %v, want 3 sorted addresses", s.Ejected)
+	}
+}
+
+// TestGatewayAttestationRejectsSpareBreaker: an attestation reject
+// ejects the node but never trips its circuit breaker — breakers track
+// transport health, not policy. Regression: forward fed every upstream
+// error to the breaker, policy rejects included, so after a revocation
+// wave a node that proved itself again stayed out of rotation for
+// BreakerOpenFor, until a probe re-closed its breaker.
+func TestGatewayAttestationRejectsSpareBreaker(t *testing.T) {
+	provider := &testProvider{name: "breaker-tee"}
+	mux := attestation.NewMux()
+	mux.RegisterProvider(provider)
+	addr := startUpstream(t, provider, idHandler("ok"))
+	cert := selfSigned(t)
+	g, err := New(Config{
+		Source:         NewView(testDomain, serving(addr)),
+		Verifier:       mux,
+		GetCertificate: func() (*tls.Certificate, error) { return &cert, nil },
+		Resilience:     Resilience{BreakerFailures: 2, BreakerOpenFor: time.Minute},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	client := &http.Client{
+		Transport: &http.Transport{
+			TLSClientConfig: &tls.Config{InsecureSkipVerify: true}, //nolint:gosec // test client
+		},
+		Timeout: 10 * time.Second,
+	}
+	t.Cleanup(client.CloseIdleConnections)
+	url := "https://" + g.Addr() + "/"
+
+	// Each bump clears the ejection, so every request re-handshakes with
+	// the revoked node and is rejected again — more rejects than the
+	// breaker's failure threshold.
+	provider.revoked.Store(true)
+	for i := 0; i < 4; i++ {
+		provider.rev.Add(1)
+		if _, status := get(t, client, url); status == http.StatusOK {
+			t.Fatalf("revoked upstream served after bump %d", i)
+		}
+	}
+
+	// The node proves itself again under the next policy epoch and must
+	// serve at once, not after the breaker's dwell.
+	provider.revoked.Store(false)
+	provider.rev.Add(1)
+	if body, status := get(t, client, url); status != http.StatusOK || body != "ok" {
+		t.Fatalf("after reinstatement: status=%d body=%q breakers open=%v", status, body, g.Stats().BreakerOpen)
+	}
+	if s := g.Stats(); len(s.BreakerOpen) != 0 {
+		t.Errorf("policy rejects tripped the breaker: BreakerOpen=%v", s.BreakerOpen)
 	}
 }

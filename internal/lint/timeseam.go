@@ -17,6 +17,7 @@ var timeseamScope = map[string]bool{
 	"revelio/internal/resilience": true,
 	"revelio/internal/gateway":    true,
 	"revelio/internal/fleet":      true,
+	"revelio/internal/load":       true,
 }
 
 // nakedTimeFuncs are the package-level time functions that read or
@@ -34,7 +35,7 @@ var nakedTimeFuncs = map[string]bool{
 // //revelio:allow timeseam directives.
 var Timeseam = &analysis.Analyzer{
 	Name: "timeseam",
-	Doc: "naked time.Now/Sleep/After or math/rand in internal/{chaos,resilience,gateway,fleet}: " +
+	Doc: "naked time.Now/Sleep/After or math/rand in internal/{chaos,resilience,gateway,fleet,load}: " +
 		"these packages must flow time and randomness through their injected seams " +
 		"or seeded chaos schedules stop replaying deterministically",
 	Run: runTimeseam,
