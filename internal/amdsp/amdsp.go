@@ -11,7 +11,8 @@
 // A SecureProcessor executes guest launches: LaunchStart/Update/Finish
 // maintain the measurement ledger, and the post-launch guest channel hands
 // out VCEK-signed attestation reports and measurement-derived sealing keys
-// — the two primitives everything in Revelio builds on.
+// — the two primitives everything in Revelio builds on. Extended reports
+// also hand out the host's certificate table, the chip's VCEK.
 package amdsp
 
 import (
@@ -284,6 +285,7 @@ type SecureProcessor struct {
 	mu       sync.Mutex
 	next     LaunchHandle
 	launches map[LaunchHandle]*launch
+	certs    []byte // host certificate table: the VCEK DER, nil until installed
 }
 
 // ChipID returns the unique processor identifier.
@@ -294,6 +296,17 @@ func (sp *SecureProcessor) TCB() uint64 { return sp.tcb }
 
 // VCEKPublic returns the chip's current VCEK public key.
 func (sp *SecureProcessor) VCEKPublic() *ecdsa.PublicKey { return &sp.vcek.PublicKey }
+
+// SetExtConfig installs the host's certificate table (SNP_SET_EXT_CONFIG):
+// the chip's VCEK certificate DER, which the firmware hands out with
+// every extended report. The host is untrusted, so the firmware neither
+// checks nor signs these bytes; verifiers treat them as untrusted input.
+// The table belongs to the chip, so guests relaunched on it reuse it.
+func (sp *SecureProcessor) SetExtConfig(vcekDER []byte) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	sp.certs = vcekDER
+}
 
 // LaunchStart opens a new guest launch context with the given guest policy
 // and SVN.
@@ -384,6 +397,19 @@ func (g *GuestChannel) Report(data sev.ReportData) (*sev.Report, error) {
 	}
 	r.Signature = sig
 	return r, nil
+}
+
+// ExtendedReport is SNP_GET_EXT_REPORT: a report as Report produces it,
+// plus the host's certificate table (the VCEK DER, nil when the host
+// installed none). The table is shared: callers must not modify it.
+func (g *GuestChannel) ExtendedReport(data sev.ReportData) (*sev.Report, []byte, error) {
+	r, err := g.Report(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	g.sp.mu.Lock()
+	defer g.sp.mu.Unlock()
+	return r, g.sp.certs, nil
 }
 
 // SealingKey derives a 32-byte key bound to this chip and this guest's

@@ -8,7 +8,8 @@
 // verify the report's signature, and finally judge the measurement
 // against a trust policy (hard-coded golden values or a trusted
 // registry). Bundles add the REPORT_DATA binding between a report and a
-// payload (public key or CSR).
+// payload (public key or CSR), and may carry the chip's VCEK, which then
+// replaces the VCEK fetch; the ARK/ASK chain still comes from the KDS.
 package attest
 
 import (
@@ -215,12 +216,24 @@ type Result struct {
 // tampered report hashes to a different key, misses the cache, and fails
 // in the full pipeline — the caches are provably fail-closed.
 func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Result, error) {
+	return v.verify(ctx, report, nil)
+}
+
+// verify is VerifyReport with an optional VCEK the evidence bundles
+// (vcekDER, empty when none). A bundled VCEK replaces the source's VCEK
+// fetch and nothing else: its bytes come from the untrusted site, so
+// they pass every check a fetched VCEK passes, in the same order, and
+// only the ASK/ARK chain — the trust anchor — comes from the source.
+func (v *Verifier) verify(ctx context.Context, report *sev.Report, vcekDER []byte) (*Result, error) {
 	rev := v.policyRev.Load()
 	now := v.now()
+	bundled := len(vcekDER) > 0
 	var rkey proofKey
 	if v.reports != nil {
 		rkey = reportProofKey(report)
-		if p, ok := v.reports.get(rkey, rev, now); ok {
+		// A bundled VCEK must be the one that proved the report, so a
+		// cached proof never vouches for bytes it never checked.
+		if p, ok := v.reports.get(rkey, rev, now); ok && (!bundled || bytes.Equal(p.vcek.Raw, vcekDER)) {
 			if err := v.CheckPolicy(report); err != nil {
 				return nil, err
 			}
@@ -229,12 +242,10 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 	}
 
 	// Chain walk, skipped when a VCEK for this (chip, TCB) was already
-	// proven at this policy revision and the fetched VCEK is that very
+	// proven at this policy revision and the VCEK at hand is that very
 	// certificate (a fresh nonce-bound report from a known node pays only
-	// the signature check — the warm-session case). Otherwise the walk is
-	// certain, so the ASK/ARK chain is fetched alongside the VCEK: a cold
-	// verification waits on one KDS round trip, not two. Proofs expire at
-	// the earliest NotAfter of the whole proving chain, so a cached proof
+	// the signature check — the warm-session case). Proofs expire at the
+	// earliest NotAfter of the whole proving chain, so a cached proof
 	// never outlives any validity check the walk performed.
 	var (
 		ckey        proofKey
@@ -246,23 +257,46 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		chainProof, chainProven = v.chains.get(ckey, rev, now)
 	}
 	var (
-		ask, ark  *x509.Certificate
-		chainErr  error
-		chainDone chan struct{}
+		vcekCert     *x509.Certificate
+		ask, ark     *x509.Certificate
+		chainErr     error
+		chainFetched bool
 	)
-	if !chainProven {
-		chainDone = make(chan struct{})
-		go func() {
-			defer close(chainDone)
-			ask, ark, chainErr = v.source.CertChain(ctx)
-		}()
-	}
-	vcekCert, err := v.source.VCEK(ctx, report.ChipID, report.TCBVersion)
-	if chainDone != nil {
-		<-chainDone // no fetch outlives the call
-	}
-	if err != nil {
-		return nil, fmt.Errorf("attest: fetch vcek: %w", err)
+	if bundled {
+		// The bundled VCEK: a proven DER is taken as proven, without
+		// parsing and without any source call; anything else is parsed
+		// here and walked below. There is no fallback to the source: a
+		// bundled VCEK that fails a check fails the evidence.
+		if chainProven && bytes.Equal(chainProof.vcek.Raw, vcekDER) {
+			vcekCert = chainProof.vcek
+		} else {
+			cert, err := x509.ParseCertificate(vcekDER)
+			if err != nil {
+				return nil, fmt.Errorf("%w: bundled VCEK: %v", ErrChainInvalid, err)
+			}
+			vcekCert = cert
+		}
+	} else {
+		// Without a proof the walk is certain, so the ASK/ARK chain is
+		// fetched alongside the VCEK: a cold verification waits on one
+		// KDS round trip, not two.
+		var chainDone chan struct{}
+		if !chainProven {
+			chainFetched = true
+			chainDone = make(chan struct{})
+			go func() {
+				defer close(chainDone)
+				ask, ark, chainErr = v.source.CertChain(ctx)
+			}()
+		}
+		cert, err := v.source.VCEK(ctx, report.ChipID, report.TCBVersion)
+		if chainDone != nil {
+			<-chainDone // no fetch outlives the call
+		}
+		if err != nil {
+			return nil, fmt.Errorf("attest: fetch vcek: %w", err)
+		}
+		vcekCert = cert
 	}
 	// Classify expiry before the chain walk so out-of-validity evidence
 	// maps to ErrEvidenceExpired rather than a generic chain failure.
@@ -273,12 +307,14 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		// A different certificate for a proven (chip, TCB): the proof
 		// covers none of its bytes, so walk its chain from scratch.
 		chainProven = false
-		ask, ark, chainErr = v.source.CertChain(ctx)
 	}
 	notAfter := vcekCert.NotAfter
 	if chainProven {
 		notAfter = chainProof.notAfter
 	} else {
+		if !chainFetched {
+			ask, ark, chainErr = v.source.CertChain(ctx)
+		}
 		if chainErr != nil {
 			return nil, fmt.Errorf("attest: fetch cert chain: %w", chainErr)
 		}
@@ -322,7 +358,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 		return nil, fmt.Errorf("%w: VCEK key type %T", ErrChainInvalid, vcekCert.PublicKey)
 	}
 	if err := report.Verify(pub); err != nil {
-		return nil, fmt.Errorf("attest: %w", err)
+		return nil, fmt.Errorf("%w: %w", attestation.ErrEvidenceInvalid, err)
 	}
 
 	if err := v.CheckPolicy(report); err != nil {
@@ -338,7 +374,7 @@ func (v *Verifier) VerifyReport(ctx context.Context, report *sev.Report) (*Resul
 func (v *Verifier) VerifyRaw(ctx context.Context, raw []byte) (*Result, error) {
 	var report sev.Report
 	if err := report.UnmarshalBinary(raw); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", attestation.ErrEvidenceInvalid, err)
 	}
 	return v.VerifyReport(ctx, &report)
 }
@@ -349,6 +385,10 @@ func (v *Verifier) VerifyRaw(ctx context.Context, raw []byte) (*Result, error) {
 type Bundle struct {
 	ReportRaw []byte `json:"report"`
 	Payload   []byte `json:"payload"`
+	// VCEK optionally carries the signing chip's VCEK certificate (DER)
+	// from the host's certificate table, as SEV-SNP's extended report
+	// does. VerifyBundle then checks it in place of fetching one.
+	VCEK []byte `json:"vcek,omitempty"`
 }
 
 // NewBundle serializes a report around its payload.
@@ -373,20 +413,22 @@ func (b *Bundle) Encode() ([]byte, error) {
 func DecodeBundle(data []byte) (*Bundle, error) {
 	var b Bundle
 	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("attest: decode bundle: %w", err)
+		return nil, fmt.Errorf("%w: attest: decode bundle: %w", attestation.ErrEvidenceInvalid, err)
 	}
 	return &b, nil
 }
 
 // VerifyBundle verifies the bundle's report and the REPORT_DATA binding
-// to its payload, returning the verification result.
+// to its payload, returning the verification result. A bundle carrying
+// a VCEK is verified against it, with only the ASK/ARK chain taken from
+// the certificate source.
 func (v *Verifier) VerifyBundle(ctx context.Context, b *Bundle, hashOf func([]byte) sev.ReportData) (*Result, error) {
 	var report sev.Report
 	if err := report.UnmarshalBinary(b.ReportRaw); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", attestation.ErrEvidenceInvalid, err)
 	}
 	if report.ReportData != hashOf(b.Payload) {
 		return nil, ErrReportDataMismatch
 	}
-	return v.VerifyReport(ctx, &report)
+	return v.verify(ctx, &report, b.VCEK)
 }

@@ -7,9 +7,11 @@ import (
 	"time"
 
 	"revelio/attestation"
+	"revelio/internal/amdsp"
 	"revelio/internal/kds"
 	"revelio/internal/registry"
 	"revelio/internal/sev"
+	"revelio/internal/vm"
 )
 
 // TestErrorTaxonomy pins the attest-layer half of the SDK's error
@@ -139,5 +141,62 @@ func TestErrorTaxonomy(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestForgedSignatureIsEvidenceInvalid: a report with one flipped
+// signature bit is invalid evidence, and still names the sev cause.
+func TestForgedSignatureIsEvidenceInvalid(t *testing.T) {
+	r := newRig(t)
+	rep := r.report(t, sev.ReportData{20})
+	rep.Signature[len(rep.Signature)-1] ^= 1
+	_, err := NewVerifier(r.client, nil).VerifyReport(context.Background(), rep)
+	if !errors.Is(err, attestation.ErrEvidenceInvalid) || !errors.Is(err, sev.ErrBadSignature) {
+		t.Errorf("err = %v, want ErrEvidenceInvalid wrapping sev.ErrBadSignature", err)
+	}
+}
+
+// TestJunkBundleReportIsEvidenceInvalid: a bundle whose report bytes do
+// not decode is invalid evidence, and still names the sev cause.
+func TestJunkBundleReportIsEvidenceInvalid(t *testing.T) {
+	r := newRig(t)
+	b := &Bundle{ReportRaw: []byte("junk"), Payload: []byte("k")}
+	_, err := NewVerifier(r.client, nil).VerifyBundle(context.Background(), b, vm.HashOf)
+	if !errors.Is(err, attestation.ErrEvidenceInvalid) || !errors.Is(err, sev.ErrBadReport) {
+		t.Errorf("err = %v, want ErrEvidenceInvalid wrapping sev.ErrBadReport", err)
+	}
+	if r.hits.Load() != 0 {
+		t.Errorf("undecodable evidence cost %d KDS requests", r.hits.Load())
+	}
+}
+
+// TestUndecodableBundleIsEvidenceInvalid: bundle JSON that does not
+// parse is invalid evidence.
+func TestUndecodableBundleIsEvidenceInvalid(t *testing.T) {
+	if _, err := DecodeBundle([]byte("{")); !errors.Is(err, attestation.ErrEvidenceInvalid) {
+		t.Errorf("err = %v, want ErrEvidenceInvalid", err)
+	}
+}
+
+// TestUncertifiedChipIsEvidenceInvalid: a report from a chip the KDS
+// has no certificate for (another manufacturer's) is invalid evidence,
+// not a KDS outage.
+func TestUncertifiedChipIsEvidenceInvalid(t *testing.T) {
+	r := newRig(t)
+	stranger, err := amdsp.NewManufacturer([]byte("another manufacturer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, guest := launchGuest(t, stranger, "chip")
+	rep, err := guest.Report(sev.ReportData{21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewVerifier(r.client, nil).VerifyReport(context.Background(), rep)
+	if !errors.Is(err, attestation.ErrEvidenceInvalid) || !errors.Is(err, kds.ErrNotFound) {
+		t.Errorf("err = %v, want ErrEvidenceInvalid wrapping kds.ErrNotFound", err)
+	}
+	if errors.Is(err, attestation.ErrKDSUnavailable) {
+		t.Errorf("err = %v is classified as an outage", err)
 	}
 }

@@ -224,7 +224,7 @@ func (a *Agent) finishInstall(certDER []byte, key *ecdsa.PrivateKey, leader bool
 	if err != nil {
 		return err
 	}
-	servingReport, err := a.vm.Report(vm.HashOf(pubDER))
+	servingReport, vcekDER, err := a.vm.ExtendedReport(vm.HashOf(pubDER))
 	if err != nil {
 		return err
 	}
@@ -232,6 +232,7 @@ func (a *Agent) finishInstall(certDER []byte, key *ecdsa.PrivateKey, leader bool
 	if err != nil {
 		return err
 	}
+	bundle.VCEK = vcekDER
 	bundleJSON, err := json.Marshal(bundle)
 	if err != nil {
 		return err
@@ -382,7 +383,10 @@ func (a *Agent) handleKeyRequest(w http.ResponseWriter, r *http.Request) {
 // cached bundle from provisioning time is returned (enough for
 // discovery); with ?nonce=<hex> a *fresh* report is produced whose
 // REPORT_DATA binds both the TLS key and the caller's nonce, defeating
-// replay of recorded bundles.
+// replay of recorded bundles. Both carry the chip's VCEK from the host
+// certificate table when one is installed, so a browser needs no KDS
+// request beyond the ASK/ARK chain. Bundles on the control endpoints
+// carry none: their verifiers already fetch the VCEK once per chip.
 func (a *Agent) handleWellKnown(w http.ResponseWriter, r *http.Request) {
 	a.mu.Lock()
 	bundle := a.servingBundle
@@ -405,7 +409,7 @@ func (a *Agent) handleWellKnown(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad nonce", http.StatusBadRequest)
 		return
 	}
-	report, err := a.vm.Report(vm.HashOfWithNonce(pubDER, nonce))
+	report, vcekDER, err := a.vm.ExtendedReport(vm.HashOfWithNonce(pubDER, nonce))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -415,6 +419,7 @@ func (a *Agent) handleWellKnown(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	fresh.VCEK = vcekDER
 	writeJSON(w, fresh)
 }
 

@@ -164,6 +164,7 @@ type Deployment struct {
 	Nodes        []*Node
 
 	cfg        Config
+	kds        *kds.Server // the KDS behind KDSServer; its VCEK memo feeds host certificate tables
 	appHandler func(n *Node) http.Handler
 	closeOnce  sync.Once
 	kdsNet     *netlab.Transport // verifier-side KDS path (outage injection)
@@ -272,7 +273,8 @@ func New(cfg Config) (*Deployment, error) {
 	if d.Manufacturer, err = amdsp.NewManufacturer([]byte("revelio-deployment")); err != nil {
 		return nil, err
 	}
-	if d.KDSServer, err = startHTTP(kds.NewServer(d.Manufacturer)); err != nil {
+	d.kds = kds.NewServer(d.Manufacturer)
+	if d.KDSServer, err = startHTTP(d.kds); err != nil {
 		return nil, err
 	}
 	d.kdsNet = &netlab.Transport{RTT: cfg.KDSRTT}
@@ -371,13 +373,21 @@ func (d *Deployment) bootBlobs() hypervisor.BootBlobs {
 	}
 }
 
-// launchNode mints a chip, launches the guest, boots the VM and starts
-// the agent control server.
+// launchNode mints a chip, installs its VCEK in the host certificate
+// table, launches the guest, boots the VM and starts the agent control
+// server.
 func (d *Deployment) launchNode(chipSeed []byte) (*Node, error) {
 	chip, err := d.Manufacturer.MintProcessor(chipSeed, 7)
 	if err != nil {
 		return nil, err
 	}
+	// The KDS's own memo, read in process: the node ships byte for byte
+	// what the KDS serves, and the install costs no KDS request.
+	vcekDER, err := d.kds.VCEKDER(chip.ChipID(), chip.TCB())
+	if err != nil {
+		return nil, err
+	}
+	chip.SetExtConfig(vcekDER)
 	guest, err := hypervisor.New(chip).Launch(hypervisor.Config{
 		Firmware: d.Firmware,
 		Blobs:    d.bootBlobs(),

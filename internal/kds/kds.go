@@ -53,8 +53,11 @@ const (
 )
 
 var (
-	// ErrNotFound reports an unknown chip or malformed query.
-	ErrNotFound = errors.New("kds: certificate not found")
+	// ErrNotFound reports a chip the KDS has no certificate for. The
+	// evidence naming it claims a platform AMD never certified, so it
+	// is invalid evidence (attestation.ErrEvidenceInvalid), not an
+	// outage.
+	ErrNotFound = fmt.Errorf("%w: kds: certificate not found", attestation.ErrEvidenceInvalid)
 	// ErrBadResponse reports an unparseable KDS payload.
 	ErrBadResponse = errors.New("kds: bad response")
 )
@@ -109,26 +112,37 @@ func (s *Server) handleVCEK(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad tcb", http.StatusBadRequest)
 		return
 	}
-	key := r.PathValue("chipid") + ":" + strconv.FormatUint(tcb, 10)
-	der, hit := s.vcekDER.get(key, time.Time{})
-	if !hit {
-		// Issuing a VCEK certificate signs with the ASK — the expensive
-		// step; collapse concurrent first requests and memoize the DER.
-		der, err, _ = s.flight.Do(key, func() ([]byte, error) {
-			der, err := s.mfr.VCEKCertDER(chipID, tcb)
-			if err != nil {
-				return nil, err
-			}
-			s.vcekDER.put(key, der, time.Time{})
-			return der, nil
-		})
-		if err != nil {
-			http.Error(w, "unknown chip", http.StatusNotFound)
-			return
-		}
+	der, err := s.VCEKDER(chipID, tcb)
+	if err != nil {
+		http.Error(w, "unknown chip", http.StatusNotFound)
+		return
 	}
 	w.Header().Set("Content-Type", "application/pkix-cert")
 	_, _ = w.Write(der)
+}
+
+// VCEKDER returns the DER VCEK certificate for chip at tcb: the bytes
+// the VCEK endpoint serves. The first call per (chip, TCB) issues the
+// certificate and memoizes it; later calls, and concurrent first calls,
+// share that one issue. Issuing signs with the ASK and ECDSA signatures
+// are randomized, so two issues would yield different DERs: every holder
+// of a chip's VCEK (the host's certificate table, KDS clients) must go
+// through here to see the same bytes. The returned slice is shared:
+// callers must not modify it.
+func (s *Server) VCEKDER(chipID sev.ChipID, tcb uint64) ([]byte, error) {
+	key := hex.EncodeToString(chipID[:]) + ":" + strconv.FormatUint(tcb, 10)
+	if der, hit := s.vcekDER.get(key, time.Time{}); hit {
+		return der, nil
+	}
+	der, err, _ := s.flight.Do(key, func() ([]byte, error) {
+		der, err := s.mfr.VCEKCertDER(chipID, tcb)
+		if err != nil {
+			return nil, err
+		}
+		s.vcekDER.put(key, der, time.Time{})
+		return der, nil
+	})
+	return der, err
 }
 
 // chainPair is the parsed ASK/ARK pair the client caches.

@@ -352,5 +352,11 @@ func (v *VM) Report(data sev.ReportData) (*sev.Report, error) {
 	return v.channel.Channel.Report(data)
 }
 
+// ExtendedReport produces a report over data together with the host's
+// certificate table (the chip's VCEK DER, nil when none is installed).
+func (v *VM) ExtendedReport(data sev.ReportData) (*sev.Report, []byte, error) {
+	return v.channel.Channel.ExtendedReport(data)
+}
+
 // VTPM returns the runtime-measurement TPM, or nil if not enabled.
 func (v *VM) VTPM() *vtpm.VTPM { return v.vtpm }

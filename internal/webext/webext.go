@@ -4,7 +4,8 @@
 // Sites are registered with a golden measurement (manually, or learned
 // opportunistically via Discover). The first access in a browser session
 // is intercepted: the extension fetches the attestation bundle from the
-// well-known URL, validates the VCEK chain via the AMD KDS, checks the
+// well-known URL, validates the VCEK the bundle carries (or fetches it)
+// against the ASK/ARK chain from the AMD KDS, checks the
 // report signature and measurement, and finally binds the session by
 // comparing the TLS connection's public key against the key attested in
 // REPORT_DATA. Every subsequent request is monitored: if the connection
@@ -74,9 +75,11 @@ type Metrics struct {
 	// AttestationTime covers bundle fetch + KDS + validation. The bundle
 	// fetch opens the navigation's connection, so this includes the
 	// navigation's only TLS handshake; the page load that follows reuses
-	// the connection and pays none. Its KDS share is one round trip even
-	// on a cold device: the verifier fetches the VCEK and the ASK/ARK
-	// chain concurrently, and a proven chain leaves only the VCEK fetch.
+	// the connection and pays none. The site bundles its chip's VCEK, so
+	// the KDS share is one round trip, the ASK/ARK chain, on a device
+	// that has never fetched it, and none afterwards, whatever chip
+	// serves. A bundle without a VCEK costs one round trip per new chip:
+	// the VCEK, overlapped with the chain on a cold device.
 	AttestationTime time.Duration
 	// ConnValidation covers the per-request check of the serving
 	// connection's key against the attested key.
@@ -307,7 +310,7 @@ func (e *Extension) attestSite(ctx context.Context, conn *browser.Conn, domain s
 		return fmt.Errorf("%w: decode bundle: %w", ErrAttestationFailed, err)
 	}
 
-	// Validate the report: VCEK chain via KDS, signature, and the
+	// Validate the report: VCEK chain to the KDS's ARK, signature, and the
 	// REPORT_DATA binding to the served TLS public key and our nonce.
 	res, err := e.verifier.VerifyBundle(ctx, bundle, func(payload []byte) sev.ReportData {
 		return vm.HashOfWithNonce(payload, nonce)
