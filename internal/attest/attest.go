@@ -174,8 +174,9 @@ func NewVerifier(source CertSource, policy TrustPolicy, opts ...Option) *Verifie
 func (v *Verifier) InvalidatePolicy() { v.policyRev.Add(1) }
 
 // PolicyRevision returns the current policy revision. Fast-path layers
-// stacked above the verifier (ratls.PeerVerifier's certificate memo) key
-// their own entries on it so InvalidatePolicy cascades through them.
+// stacked above the verifier (ratls.ProviderPeerVerifier's certificate
+// memo, through snp.Provider) key their own entries on it so
+// InvalidatePolicy cascades through them.
 func (v *Verifier) PolicyRevision() uint64 { return v.policyRev.Load() }
 
 // Now returns the verifier's notion of the current time (the injected

@@ -8,6 +8,7 @@ import (
 	"net"
 	"testing"
 
+	"revelio/attestation/snp"
 	"revelio/internal/attest"
 	"revelio/internal/ratls"
 )
@@ -153,9 +154,10 @@ func TestScenarioRevocationStorm(t *testing.T) {
 		}
 	}
 
-	// Prime the RA-TLS path: a node-to-node style attested channel with
-	// a memoized peer and a resumable session.
-	serverCert, err := ratls.CreateCertificate(f.d.Nodes[0].VM, f.cfg.Domain)
+	// Prime the RA-TLS path: an upstream-style attested channel with a
+	// memoized peer and a resumable session.
+	serverCert, err := ratls.CreateProviderCertificate(ctx,
+		snp.NewNodeProvider(f.d.Nodes[0].VM, verifier), f.cfg.Domain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +180,8 @@ func TestScenarioRevocationStorm(t *testing.T) {
 			}(conn)
 		}
 	}()
-	ratlsCfg := ratls.ClientConfig(verifier)
+	ratlsCfg := ratls.ProviderClientConfig(snp.NewProvider(verifier))
+	ratlsCfg.ClientSessionCache = tls.NewLRUClientSessionCache(0)
 	dial := func() error {
 		conn, err := tls.Dial("tcp", ln.Addr().String(), ratlsCfg)
 		if err != nil {

@@ -394,22 +394,11 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.rt = g.transport
 	// Upstream session resumption, fenced by the policy epoch: a cached
-	// session never resumes across an epoch bump (so a revocation bites
-	// through resumed sessions), and the resumptions that are allowed
-	// still re-judge the peer's saved evidence against current policy via
-	// VerifyConnection — resumed handshakes skip VerifyPeerCertificate.
+	// session never resumes across an epoch bump, and the resumptions
+	// that are allowed still re-judge the peer's saved evidence against
+	// current policy (ProviderClientConfig's VerifyConnection).
 	g.sessions = newEpochSessionCache(g.flushedEpoch.Load, defaultSessionCacheSize)
 	tlsCfg.ClientSessionCache = g.sessions
-	verifyPeer := tlsCfg.VerifyPeerCertificate
-	tlsCfg.VerifyConnection = func(cs tls.ConnectionState) error {
-		if !cs.DidResume {
-			return nil // full handshake: VerifyPeerCertificate already ran
-		}
-		if len(cs.PeerCertificates) == 0 {
-			return ratls.ErrNoPeerCertificate
-		}
-		return verifyPeer([][]byte{cs.PeerCertificates[0].Raw}, nil)
-	}
 	g.revs = revisionSources(cfg.Verifier)
 	g.mu.Lock()
 	g.flushedEpoch.Store(g.advanceEpochLocked())
@@ -682,15 +671,13 @@ func preferCandidates(candidates []*upstream, d decision) []*upstream {
 // isAttestationReject reports an upstream failure that means the node's
 // attestation no longer verifies — the fail-closed ejection triggers —
 // as against a transient transport error worth retrying elsewhere
-// without ejecting.
+// without ejecting. Every RA-TLS rejection sits under one of the four
+// taxonomy roots.
 func isAttestationReject(err error) bool {
 	return errors.Is(err, attestation.ErrPolicyRejected) ||
 		errors.Is(err, attestation.ErrEvidenceInvalid) ||
 		errors.Is(err, attestation.ErrEvidenceExpired) ||
-		errors.Is(err, attestation.ErrUnknownProvider) ||
-		errors.Is(err, ratls.ErrNoEvidence) ||
-		errors.Is(err, ratls.ErrKeyMismatch) ||
-		errors.Is(err, ratls.ErrNoPeerCertificate)
+		errors.Is(err, attestation.ErrUnknownProvider)
 }
 
 // isHopByHop reports the connection-scoped headers a proxy must not

@@ -17,8 +17,8 @@ import (
 //   - upstream, epochSessionCache tags every stored session with the
 //     epoch it was minted under and refuses to resume across a bump, so
 //     a revocation forces the next connection through a full, verified
-//     handshake (and VerifyConnection re-judges the evidence of the
-//     resumptions that are allowed);
+//     handshake (and ratls.ProviderClientConfig's VerifyConnection
+//     re-judges the evidence of the resumptions that are allowed);
 //   - downstream, the session-ticket key rotates to a fresh random key
 //     on every bump, so outstanding tickets die and clients re-enter
 //     through GetCertificate.
@@ -29,9 +29,8 @@ const defaultSessionCacheSize = 256
 
 // epochSessionCache is a tls.ClientSessionCache fenced by a monotone
 // epoch (the gateway's policy epoch): sessions stored under an older
-// epoch are never resumed. The shape mirrors ratls's
-// revisionBoundSessionCache, with the gateway's accumulated epoch in
-// place of a single verifier's revision.
+// epoch are never resumed, so the first connection after a bump is a
+// full handshake against the node's current certificate.
 type epochSessionCache struct {
 	epoch func() uint64
 	cap   int

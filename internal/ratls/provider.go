@@ -20,16 +20,15 @@ import (
 )
 
 // OIDAttestationEvidence is the X.509 extension carrying a
-// provider-neutral attestation.Evidence envelope — the provider-tagged
-// sibling of OIDAttestationBundle, which carries a bare SEV-SNP bundle.
-// A certificate minted through CreateProviderCertificate can terminate a
-// handshake verified by any provider a Mux knows about.
+// provider-neutral attestation.Evidence envelope. A certificate minted
+// through CreateProviderCertificate can terminate a handshake verified by
+// any provider a Mux knows about.
 var OIDAttestationEvidence = asn1.ObjectIdentifier{1, 3, 6, 1, 4, 1, 56789, 2, 2}
 
 // CreateProviderCertificate builds a fresh key pair and a self-signed
 // certificate for commonName whose evidence — issued by any
 // attestation.Issuer, hardware or software — binds the certificate's
-// public key. It is the provider-neutral CreateCertificate.
+// public key.
 func CreateProviderCertificate(ctx context.Context, issuer attestation.Issuer, commonName string) (tls.Certificate, error) {
 	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
@@ -96,7 +95,7 @@ func VerifyProviderCertificate(ctx context.Context, v attestation.Verifier, cert
 	}
 	pubDER, err := x509.MarshalPKIXPublicKey(cert.PublicKey)
 	if err != nil {
-		return nil, fmt.Errorf("ratls: marshal peer key: %w", err)
+		return nil, fmt.Errorf("%w: ratls: marshal peer key: %w", attestation.ErrEvidenceInvalid, err)
 	}
 	if !bytes.Equal(pubDER, res.Payload) {
 		return nil, ErrKeyMismatch
@@ -116,8 +115,8 @@ type resultProof struct {
 // callback enforcing provider-neutral RA-TLS: the handshake completes
 // only if the peer's embedded evidence verifies under v — a single
 // provider's verifier or an attestation.Mux fronting several — and
-// binds the peer's TLS key. Use with InsecureSkipVerify, exactly like
-// PeerVerifier.
+// binds the peer's TLS key. Use with InsecureSkipVerify: the CA path is
+// intentionally bypassed, the hardware root of trust replaces it.
 //
 // When v implements attestation.Revisioned, successful verifications
 // are memoized by certificate hash and fenced by the policy revision;
@@ -150,7 +149,7 @@ func ProviderPeerVerifier(v attestation.Verifier) func(rawCerts [][]byte, _ [][]
 		}
 		cert, err := x509.ParseCertificate(rawCerts[0])
 		if err != nil {
-			return fmt.Errorf("ratls: parse peer certificate: %w", err)
+			return fmt.Errorf("%w: ratls: parse peer certificate: %w", attestation.ErrEvidenceInvalid, err)
 		}
 		//revelio:allow ctxfirst crypto/tls VerifyPeerCertificate callbacks carry no context; the handshake deadline bounds this
 		res, err := VerifyProviderCertificate(context.Background(), v, cert)
@@ -174,11 +173,11 @@ func proofNotAfter(res *attestation.Result, cert *x509.Certificate) time.Time {
 	return notAfter
 }
 
-// muxProofCache is the provider-neutral twin of peerCache: a bounded
-// map of verified peer certificates keyed by DER hash. (Eviction is
-// wholesale rather than LRU — the neutral path trades a little cold
-// latency for zero list bookkeeping; the SEV-specific PeerVerifier
-// keeps the tuned LRU.)
+// muxProofCache is a bounded map of verified peer certificates keyed by
+// DER hash. A tampered or substituted certificate hashes to a different
+// key and goes through full verification. Eviction is wholesale rather
+// than LRU: a little cold latency after overflow for zero list
+// bookkeeping.
 type muxProofCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -218,9 +217,25 @@ func (c *muxProofCache) put(key [sha256.Size]byte, p *resultProof) {
 // ProviderClientConfig builds a tls.Config for dialing a
 // provider-neutral RA-TLS server: the CA path is replaced by evidence
 // verification through v.
+//
+// A resumed handshake skips VerifyPeerCertificate, so VerifyConnection
+// re-runs the same peer verifier on the leaf the session saved: a
+// resumed connection is still judged against current policy (on a memo
+// hit, without redoing the proven cryptography). Any ClientSessionCache
+// the caller sets is therefore safe.
 func ProviderClientConfig(v attestation.Verifier) *tls.Config {
+	verifyPeer := ProviderPeerVerifier(v)
 	return &tls.Config{
-		InsecureSkipVerify:    true, //nolint:gosec // see PeerVerifier doc
-		VerifyPeerCertificate: ProviderPeerVerifier(v),
+		InsecureSkipVerify:    true, //nolint:gosec // see ProviderPeerVerifier doc
+		VerifyPeerCertificate: verifyPeer,
+		VerifyConnection: func(cs tls.ConnectionState) error {
+			if !cs.DidResume {
+				return nil // full handshake: VerifyPeerCertificate already ran
+			}
+			if len(cs.PeerCertificates) == 0 {
+				return ErrNoPeerCertificate
+			}
+			return verifyPeer([][]byte{cs.PeerCertificates[0].Raw}, nil)
+		},
 	}
 }

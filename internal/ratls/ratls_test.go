@@ -2,18 +2,25 @@ package ratls
 
 import (
 	"context"
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
 	"crypto/tls"
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"errors"
 	"io"
+	"math/big"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"revelio/attestation"
+	"revelio/attestation/snp"
 	"revelio/internal/amdsp"
 	"revelio/internal/attest"
 	"revelio/internal/firmware"
@@ -26,7 +33,10 @@ import (
 )
 
 type rig struct {
-	vm       *vm.VM
+	vm *vm.VM
+	// provider issues evidence from inside the node and verifies it as
+	// a relying party, over verifier (static golden policy).
+	provider *snp.Provider
 	verifier *attest.Verifier
 	golden   measure.Measurement
 	client   *kds.Client
@@ -79,72 +89,132 @@ func newRig(t *testing.T) *rig {
 	r.client = kds.NewClient(kdsServer.URL, nil)
 	r.golden = golden
 	r.verifier = attest.NewVerifier(r.client, attest.NewStaticGolden(golden))
+	r.provider = snp.NewNodeProvider(r.vm, r.verifier)
 	return r
+}
+
+// cert mints an RA-TLS certificate whose evidence the node's VM signs.
+func (r *rig) cert(t *testing.T) tls.Certificate {
+	t.Helper()
+	cert, err := CreateProviderCertificate(context.Background(), r.provider, "node.internal")
+	if err != nil {
+		t.Fatalf("CreateProviderCertificate: %v", err)
+	}
+	return cert
+}
+
+// votedProvider is a relying party over a one-voter registry that trusts
+// the rig's golden measurement, so a test can revoke it.
+func (r *rig) votedProvider(t *testing.T) (*snp.Provider, *registry.Registry) {
+	t.Helper()
+	reg := registry.New(1)
+	reg.AddVoter("dao")
+	if err := reg.Propose(r.golden, "v1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Vote("dao", r.golden); err != nil {
+		t.Fatal(err)
+	}
+	return snp.NewProvider(attest.NewVerifier(r.client, reg)), reg
+}
+
+// selfSigned returns the DER of a fresh self-signed certificate carrying
+// exts, the way a host without a TEE (or an attacker) would mint one.
+func selfSigned(tb testing.TB, exts ...pkix.Extension) []byte {
+	tb.Helper()
+	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tmpl := &x509.Certificate{
+		SerialNumber:    big.NewInt(1),
+		Subject:         pkix.Name{CommonName: "node.internal"},
+		NotBefore:       time.Now().Add(-time.Hour),
+		NotAfter:        time.Now().Add(24 * time.Hour),
+		ExtraExtensions: exts,
+	}
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return der
+}
+
+// graft copies the evidence extension of a genuine certificate onto a
+// fresh key pair: stolen evidence on a key the TEE never saw.
+func graft(tb testing.TB, genuine []byte) []byte {
+	tb.Helper()
+	parsed, err := x509.ParseCertificate(genuine)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, ext := range parsed.Extensions {
+		if ext.Id.Equal(OIDAttestationEvidence) {
+			return selfSigned(tb, ext)
+		}
+	}
+	tb.Fatal("genuine certificate carries no evidence extension")
+	return nil
+}
+
+func mustParse(t *testing.T, der []byte) *x509.Certificate {
+	t.Helper()
+	cert, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cert
 }
 
 func TestCertificateCarriesValidEvidence(t *testing.T) {
 	r := newRig(t)
-	cert, err := CreateCertificate(r.vm, "node.internal")
+	cert := r.cert(t)
+	res, err := VerifyProviderCertificate(context.Background(), r.provider, mustParse(t, cert.Certificate[0]))
 	if err != nil {
-		t.Fatalf("CreateCertificate: %v", err)
+		t.Fatalf("VerifyProviderCertificate: %v", err)
 	}
-	parsed, err := x509.ParseCertificate(cert.Certificate[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := VerifyCertificate(context.Background(), r.verifier, parsed)
-	if err != nil {
-		t.Fatalf("VerifyCertificate: %v", err)
-	}
-	if res.Report.Measurement != r.golden {
-		t.Error("evidence measurement differs from golden")
+	if res.Measurement != r.golden || res.Provider != snp.ProviderName {
+		t.Errorf("result = %s %x, want %s %x", res.Provider, res.Measurement, snp.ProviderName, r.golden)
 	}
 }
 
 func TestCertificateWithoutEvidenceRejected(t *testing.T) {
 	r := newRig(t)
 	// A plain self-signed cert (e.g. from a non-TEE server).
-	srv := httptest.NewTLSServer(http.NotFoundHandler())
-	t.Cleanup(srv.Close)
-	plain := srv.Certificate()
-	if _, err := VerifyCertificate(context.Background(), r.verifier, plain); !errors.Is(err, ErrNoEvidence) {
-		t.Errorf("err = %v, want ErrNoEvidence", err)
+	plain := mustParse(t, selfSigned(t))
+	_, err := VerifyProviderCertificate(context.Background(), r.provider, plain)
+	if !errors.Is(err, ErrNoEvidence) || !errors.Is(err, attestation.ErrEvidenceInvalid) {
+		t.Errorf("err = %v, want ErrNoEvidence under ErrEvidenceInvalid", err)
 	}
 }
 
-// TestEvidenceTransplantRejected: stealing a valid bundle and grafting it
+// TestEvidenceTransplantRejected: stealing valid evidence and grafting it
 // onto a different key pair fails the key binding.
 func TestEvidenceTransplantRejected(t *testing.T) {
 	r := newRig(t)
-	victim, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
+	victim := r.cert(t)
+	fake := mustParse(t, graft(t, victim.Certificate[0]))
+	_, err := VerifyProviderCertificate(context.Background(), r.provider, fake)
+	if !errors.Is(err, ErrKeyMismatch) || !errors.Is(err, attestation.ErrBindingMismatch) {
+		t.Errorf("err = %v, want ErrKeyMismatch under ErrBindingMismatch", err)
 	}
-	victimParsed, err := x509.ParseCertificate(victim.Certificate[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundle, err := ExtractBundle(victimParsed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundleJSON, err := bundle.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	// The attacker self-signs their own cert with the stolen extension.
-	attacker := httptest.NewUnstartedServer(http.NotFoundHandler())
-	attacker.StartTLS()
-	t.Cleanup(attacker.Close)
-	atkCert := attacker.Certificate()
-	// Simulate the graft: verify the stolen bundle against the attacker's
-	// certificate key.
-	fake := *atkCert
-	fake.Extensions = append(append([]pkix.Extension(nil), fake.Extensions...),
-		pkix.Extension{Id: OIDAttestationBundle, Value: bundleJSON})
-	if _, err := VerifyCertificate(context.Background(), r.verifier, &fake); !errors.Is(err, ErrKeyMismatch) {
-		t.Errorf("err = %v, want ErrKeyMismatch", err)
+// TestPeerVerifierErrorsInTaxonomy: every way a peer certificate can be
+// unusable — none sent, bytes that do not parse as a certificate, no
+// evidence — is an ErrEvidenceInvalid, so the gateway ejects the node
+// instead of counting a transport failure against its breaker.
+func TestPeerVerifierErrorsInTaxonomy(t *testing.T) {
+	r := newRig(t)
+	verify := ProviderPeerVerifier(r.provider)
+	for name, rawCerts := range map[string][][]byte{
+		"none":    nil,
+		"garbage": {[]byte("not a certificate")},
+		"plain":   {selfSigned(t)},
+	} {
+		if err := verify(rawCerts, nil); !errors.Is(err, attestation.ErrEvidenceInvalid) {
+			t.Errorf("%s: err = %v, want ErrEvidenceInvalid", name, err)
+		}
 	}
 }
 
@@ -152,10 +222,7 @@ func TestEvidenceTransplantRejected(t *testing.T) {
 // completes the handshake against attested servers.
 func TestFullRATLSHandshake(t *testing.T) {
 	r := newRig(t)
-	serverCert, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
+	serverCert := r.cert(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +234,7 @@ func TestFullRATLSHandshake(t *testing.T) {
 	go func() { _ = server.Serve(tlsLn) }()
 	t.Cleanup(func() { _ = server.Close() })
 
-	client := &http.Client{Transport: &http.Transport{TLSClientConfig: ClientConfig(r.verifier)}}
+	client := &http.Client{Transport: &http.Transport{TLSClientConfig: ProviderClientConfig(r.provider)}}
 	resp, err := client.Get("https://" + ln.Addr().String() + "/")
 	if err != nil {
 		t.Fatalf("RA-TLS GET: %v", err)
@@ -184,8 +251,8 @@ func TestFullRATLSHandshake(t *testing.T) {
 	// Against a non-attested server the handshake itself fails.
 	plain := httptest.NewTLSServer(http.NotFoundHandler())
 	t.Cleanup(plain.Close)
-	if _, err := client.Get(plain.URL); err == nil {
-		t.Error("handshake with unattested server succeeded")
+	if _, err := client.Get(plain.URL); !errors.Is(err, ErrNoEvidence) {
+		t.Errorf("handshake with unattested server: %v, want ErrNoEvidence", err)
 	}
 }
 
@@ -194,12 +261,8 @@ func TestFullRATLSHandshake(t *testing.T) {
 // trips; a tampered certificate misses the memo and fails closed.
 func TestPeerVerifierMemoizesHandshakes(t *testing.T) {
 	r := newRig(t)
-	cert, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := cert.Certificate[0]
-	verify := PeerVerifier(r.verifier)
+	raw := r.cert(t).Certificate[0]
+	verify := ProviderPeerVerifier(r.provider)
 
 	if err := verify([][]byte{raw}, nil); err != nil {
 		t.Fatalf("first handshake: %v", err)
@@ -233,47 +296,37 @@ func TestPeerVerifierMemoizesHandshakes(t *testing.T) {
 // next handshake even though the certificate's crypto proof is memoized.
 func TestPeerVerifierPolicyRevocation(t *testing.T) {
 	r := newRig(t)
-	reg := registry.New(1)
-	reg.AddVoter("dao")
-	if err := reg.Propose(r.golden, "v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Vote("dao", r.golden); err != nil {
-		t.Fatal(err)
-	}
-	verifier := attest.NewVerifier(r.client, reg)
-	cert, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	verify := PeerVerifier(verifier)
+	provider, reg := r.votedProvider(t)
+	raw := r.cert(t).Certificate[0]
+	verify := ProviderPeerVerifier(provider)
 
-	if err := verify([][]byte{cert.Certificate[0]}, nil); err != nil {
+	if err := verify([][]byte{raw}, nil); err != nil {
 		t.Fatalf("voted measurement rejected: %v", err)
 	}
+	cold := r.hits.Load()
 	if err := reg.Revoke(r.golden); err != nil {
 		t.Fatal(err)
 	}
-	if err := verify([][]byte{cert.Certificate[0]}, nil); !errors.Is(err, attest.ErrRevoked) {
+	if err := verify([][]byte{raw}, nil); !errors.Is(err, attest.ErrRevoked) {
 		t.Errorf("revoked measurement passed the memoized handshake: %v", err)
+	}
+	if n := r.hits.Load(); n != cold {
+		t.Errorf("revocation check cost %d KDS round trips, want a memo hit (0)", n-cold)
 	}
 }
 
-// TestPeerVerifierInvalidateCascades: attest.InvalidatePolicy bumps the
+// TestPeerVerifierInvalidateCascades: InvalidatePolicy bumps the
 // revision the ratls memo is keyed on, forcing full re-verification.
 func TestPeerVerifierInvalidateCascades(t *testing.T) {
 	r := newRig(t)
-	cert, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	verify := PeerVerifier(r.verifier)
-	if err := verify([][]byte{cert.Certificate[0]}, nil); err != nil {
+	raw := r.cert(t).Certificate[0]
+	verify := ProviderPeerVerifier(r.provider)
+	if err := verify([][]byte{raw}, nil); err != nil {
 		t.Fatal(err)
 	}
 	cold := r.hits.Load()
-	r.verifier.InvalidatePolicy()
-	if err := verify([][]byte{cert.Certificate[0]}, nil); err != nil {
+	r.provider.InvalidatePolicy()
+	if err := verify([][]byte{raw}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if r.hits.Load() == cold {
@@ -281,28 +334,17 @@ func TestPeerVerifierInvalidateCascades(t *testing.T) {
 	}
 }
 
-// TestSessionResumptionFencedByPolicyRevision: ClientConfig's session
-// cache lets reconnects skip certificate verification, but only within
-// one policy revision — InvalidatePolicy severs resumption, and a
-// subsequent revocation is enforced on the forced full handshake.
+// TestSessionResumptionFencedByPolicyRevision: ProviderClientConfig is
+// safe with any session cache, here a plain LRU. Reconnects resume, yet
+// every resumed connection re-runs the peer verifier on the saved leaf:
+// after InvalidatePolicy the resumed leaf is fully re-verified, and a
+// registry revocation rejects the very next connection, resumed or not.
 func TestSessionResumptionFencedByPolicyRevision(t *testing.T) {
 	r := newRig(t)
-	reg := registry.New(1)
-	reg.AddVoter("dao")
-	if err := reg.Propose(r.golden, "v1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Vote("dao", r.golden); err != nil {
-		t.Fatal(err)
-	}
-	verifier := attest.NewVerifier(r.client, reg)
+	provider, reg := r.votedProvider(t)
 
-	serverCert, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ln, err := tls.Listen("tcp", "127.0.0.1:0", &tls.Config{
-		Certificates: []tls.Certificate{serverCert},
+		Certificates: []tls.Certificate{r.cert(t)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +365,8 @@ func TestSessionResumptionFencedByPolicyRevision(t *testing.T) {
 		}
 	}()
 
-	cfg := ClientConfig(verifier)
+	cfg := ProviderClientConfig(provider)
+	cfg.ClientSessionCache = tls.NewLRUClientSessionCache(0)
 	dial := func() (resumed bool, err error) {
 		conn, err := tls.Dial("tcp", ln.Addr().String(), cfg)
 		if err != nil {
@@ -345,23 +388,29 @@ func TestSessionResumptionFencedByPolicyRevision(t *testing.T) {
 		t.Fatalf("second dial: %v", err)
 	}
 	if !resumed {
-		t.Skip("TLS stack did not resume; fence not exercisable here")
+		t.Skip("TLS stack did not resume; the resumed-session check is not exercisable here")
 	}
 
-	// Revocation alone (no InvalidatePolicy) must already reject the
-	// next connection: resumed connections re-judge policy in
-	// VerifyConnection.
+	// InvalidatePolicy: the session still resumes, but its saved leaf
+	// misses the memo and goes through full verification again.
+	cold := r.hits.Load()
+	provider.InvalidatePolicy()
+	if resumed, err := dial(); err != nil || !resumed {
+		t.Fatalf("dial after InvalidatePolicy: resumed=%v err=%v", resumed, err)
+	}
+	if r.hits.Load() == cold {
+		t.Error("resumed connection after InvalidatePolicy skipped re-verification")
+	}
+
+	// Revocation alone must already reject the next connection, though
+	// the session cache would happily resume it.
 	if err := reg.Revoke(r.golden); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dial(); err == nil {
-		t.Error("revoked node accepted on resumed connection")
-	}
-	// InvalidatePolicy severs the tickets too: the next attempt is a
-	// full handshake and fails on the revoked measurement.
-	verifier.InvalidatePolicy()
-	if _, err := dial(); err == nil {
-		t.Error("revoked node accepted after InvalidatePolicy")
+	for i := 0; i < 2; i++ {
+		if _, err := dial(); !errors.Is(err, attest.ErrRevoked) {
+			t.Errorf("dial %d after revocation: %v, want ErrRevoked", i, err)
+		}
 	}
 }
 
@@ -369,14 +418,10 @@ func TestSessionResumptionFencedByPolicyRevision(t *testing.T) {
 // (run under -race) with valid and tampered certificates interleaved.
 func TestPeerVerifierConcurrent(t *testing.T) {
 	r := newRig(t)
-	cert, err := CreateCertificate(r.vm, "node.internal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := cert.Certificate[0]
+	raw := r.cert(t).Certificate[0]
 	tampered := append([]byte(nil), raw...)
 	tampered[10] ^= 1
-	verify := PeerVerifier(r.verifier)
+	verify := ProviderPeerVerifier(r.provider)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
